@@ -340,7 +340,7 @@ def _with_inverses(monomials: list[Monomial]) -> list[Monomial]:
     return out
 
 
-def run_rietkerk(seed: int, scale: str, out_dir, threads: int = 1,
+def run_rietkerk(seed: int, scale: str, out_dir,
                  n_train: int | None = None, n_test: int | None = None) -> dict:
     """Emulate mean vegetation at the horizon from the model parameters:
     a dimensionless-feature regression against a raw-parameter baseline."""
@@ -351,7 +351,7 @@ def run_rietkerk(seed: int, scale: str, out_dir, threads: int = 1,
         n_test = 50 if scale == "desk" else 100
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    exp = sims.rietkerk_experiment(n_train, n_test, seed, grid, threads=threads)
+    exp = sims.rietkerk_experiment(n_train, n_test, seed, grid)
     spec = exp.train.spec
     const = Monomial.constant(spec.d)
 
@@ -405,7 +405,7 @@ def cmd_experiment(args, config) -> int:
     elif args.name == "blackbody":
         results = run_blackbody(args.seed, args.scale, out_dir)
     elif args.name == "rietkerk":
-        results = run_rietkerk(args.seed, args.scale, out_dir, threads=args.threads)
+        results = run_rietkerk(args.seed, args.scale, out_dir)
     else:
         raise DataError(f"unknown experiment {args.name!r}")
     # report files stay byte-reproducible, so wall time goes to stdout only
@@ -439,7 +439,6 @@ _HARD_DEFAULTS = {
         "scale": "desk",
         "seed": 0,
         "out": None,
-        "threads": 1,
         "lam": 1e-2,
     },
 }
@@ -487,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=["desk", "paper"], default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
 
     return ap

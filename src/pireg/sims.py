@@ -22,9 +22,10 @@ class NonPositiveMass(ValueError):
 
 
 class NumericalBlowup(ArithmeticError):
-    def __init__(self, step):
-        super().__init__(f"integration blew up at step {step}")
+    def __init__(self, step, run=0):
+        super().__init__(f"run {run}: integration blew up at step {step}")
         self.step = step
+        self.run = run
 
 
 class InsufficientSurvivors(RuntimeError):
@@ -251,13 +252,177 @@ def random_rietkerk_state(n_cells: int, dl: float, rng) -> RietkerkState:
     return RietkerkState(u, w, v, dl)
 
 
-def _laplacian(f: np.ndarray, inv_dl2: float) -> np.ndarray:
-    lap = np.roll(f, 1, 0)
-    lap += np.roll(f, -1, 0)
-    lap += np.roll(f, 1, 1)
-    lap += np.roll(f, -1, 1)
-    lap -= 4.0 * f
-    return lap * inv_dl2
+def _periodic_laplacian(f: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """Five-point periodic Laplacian of f over its last two axes, times dl^2,
+    written into out; f and work are C-contiguous and of one shape.
+
+    The sums run in the order of
+    roll(f, 1, 0) + roll(f, -1, 0) + roll(f, 1, 1) + roll(f, -1, 1) - 4 f,
+    so each entry rounds exactly as that np.roll expression does.  A column
+    neighbour is one flat position away: it is copied into work by one
+    contiguous shift, with the wrapped column patched in, and then added;
+    adding the (..., n, n - 1) slices instead takes 2.7x as long (50 x 50
+    grid, 8 runs, numpy 2.4 on a 2-vCPU Xeon).
+    """
+    out[..., 1:, :] = f[..., :-1, :]
+    out[..., :1, :] = f[..., -1:, :]
+    out[..., :-1, :] += f[..., 1:, :]
+    out[..., -1:, :] += f[..., :1, :]
+    flat_f, flat_w = f.reshape(-1), work.reshape(-1)
+    flat_w[1:] = flat_f[:-1]
+    work[..., :1] = f[..., -1:]
+    out += work
+    flat_w[:-1] = flat_f[1:]
+    work[..., -1:] = f[..., :1]
+    out += work
+    np.multiply(f, 4.0, out=work)
+    out -= work
+
+
+class _EulerBatch:
+    """B runs on one grid: u, w and v as one (3, B, ny, nx) stack, the
+    per-run parameters as (B, 1, 1) columns, and the buffers that an Euler
+    step writes into."""
+
+    def __init__(self, params: list[RietkerkParams], fields: np.ndarray,
+                 dt: float, inv_dl2: float):
+        def column(values):
+            return np.array(values, dtype=float).reshape(-1, 1, 1)
+
+        self.fields = np.ascontiguousarray(fields)
+        self.dt = dt
+        self.inv_dl2 = inv_dl2
+        self.R = column([p.R for p in params])
+        self.alpha = column([p.alpha for p in params])
+        self.k2 = column([p.k2 for p in params])
+        self.k2_W0 = column([p.k2 * p.W0 for p in params])
+        self.g_m = column([p.g_m for p in params])
+        self.k1 = column([p.k1 for p in params])
+        self.delta_w = column([p.delta_w for p in params])
+        self.c = column([p.c for p in params])
+        self.delta_v = column([p.delta_v for p in params])
+        self.D = np.array([[p.D_u for p in params], [p.D_w for p in params],
+                           [p.D_v for p in params]], dtype=float).reshape(3, -1, 1, 1)
+        self.lap = np.empty(fields.shape)
+        self.rate = np.empty(fields.shape)
+        self.infil = np.empty(fields.shape[1:])
+        self.uptake = np.empty(fields.shape[1:])
+        self.tmp = np.empty(fields.shape[1:])
+
+    def step(self) -> None:
+        """Advance every run one explicit Euler step, in place.
+
+        Each element sees the operations of
+            infil = alpha u (v + k2 W0) / (v + k2)
+            uptake = g_m v w / (k1 + w)
+            u += dt (R - infil + D_u lap(u))
+            w += dt (infil - uptake - delta_w w + D_w lap(w))
+            v += dt (c uptake - delta_v v + D_v lap(v))
+        in the same order and rounding, so a run's fields do not depend on
+        the batch it is integrated in.
+        """
+        x, lap, rate = self.fields, self.lap, self.rate
+        u, w, v = x
+        infil, uptake, tmp = self.infil, self.uptake, self.tmp
+        _periodic_laplacian(x, lap, rate)
+        lap *= self.inv_dl2
+        lap *= self.D
+        np.multiply(self.alpha, u, out=infil)
+        np.add(v, self.k2_W0, out=tmp)
+        infil *= tmp
+        np.add(v, self.k2, out=tmp)
+        infil /= tmp
+        np.multiply(self.g_m, v, out=uptake)
+        uptake *= w
+        np.add(self.k1, w, out=tmp)
+        uptake /= tmp
+        du, dw, dv = rate
+        np.subtract(self.R, infil, out=du)
+        np.subtract(infil, uptake, out=dw)
+        np.multiply(self.delta_w, w, out=tmp)
+        dw -= tmp
+        np.multiply(self.c, uptake, out=dv)
+        np.multiply(self.delta_v, v, out=tmp)
+        dv -= tmp
+        rate += lap
+        rate *= self.dt
+        x += rate
+
+
+def _finished_run(fields, slot, dl, steps, dt, extinction_step) -> RietkerkRun:
+    u, w, v = (f.copy() for f in fields[:, slot])
+    return RietkerkRun(RietkerkState(u, w, v, dl, steps * dt), steps, extinction_step)
+
+
+def integrate_rietkerk_batch(
+    params: list[RietkerkParams],
+    inits: list[RietkerkState],
+    extinction_threshold: float = 1e-3,
+    stop_on_extinction: bool = False,
+) -> list[RietkerkRun]:
+    """Integrate runs i = 0..B-1, params[i] from inits[i], together; each
+    result is bit-identical to integrating that run alone.
+
+    Explicit Euler with a 5-point periodic Laplacian, T/dt steps.  The runs
+    must share dt, T, the grid spacing and the grid shape (ValueError
+    otherwise); the grid is taken from the states, so params.L and params.dl
+    are not read.  Extinction (mean vegetation below the threshold, in
+    g m^-2) is a labeled outcome, not an error; with stop_on_extinction an
+    extinct run leaves the batch at that step.  Blowup (NaN in any field, or
+    negativity beyond the -1e-9 Euler undershoot allowance) raises
+    NumericalBlowup for the lowest-index run that blows up, at the step it
+    blows up, as a loop over the runs in index order would.
+    """
+    params, inits = list(params), list(inits)
+    if not params or len(params) != len(inits):
+        raise ValueError(f"need one initial state per run, got {len(params)} "
+                         f"parameter sets and {len(inits)} states")
+    dt, T, dl, shape = params[0].dt, params[0].T, inits[0].dl, inits[0].u.shape
+    for p, s in zip(params, inits):
+        if p.dt != dt or p.T != T:
+            raise ValueError("runs in one batch must share dt and T")
+        if s.dl != dl or not (s.u.shape == s.w.shape == s.v.shape == shape):
+            raise ValueError("runs in one batch must share the grid spacing and shape")
+    n_steps = int(round(T / dt))
+    inv_dl2 = 1.0 / (dl * dl)
+    fields = np.array([[s.u for s in inits], [s.w for s in inits], [s.v for s in inits]],
+                      dtype=float)
+    batch = _EulerBatch(params, fields, dt, inv_dl2)
+    live = list(range(len(params)))  # batch slot -> run index, ascending
+    runs: list[RietkerkRun | None] = [None] * len(params)
+    extinction: list[int | None] = [None] * len(params)
+    blowup = None  # (run, step) of the lowest-index run that blew up
+    for step in range(n_steps):
+        batch.step()
+        x = batch.fields
+        drop = set()
+        if not (x.min() >= -1e-9):  # also catches NaN
+            low = x.min(axis=(0, 2, 3))
+            first = next(i for i in range(len(live)) if not (low[i] >= -1e-9))
+            blowup = (live[first], step)
+            # runs after the first blowup would never be reached one by one
+            drop.update(range(first, len(live)))
+        gone = x[2].mean(axis=(1, 2)) < extinction_threshold
+        if gone.any():
+            for slot in np.flatnonzero(gone):
+                run = live[slot]
+                if slot in drop or extinction[run] is not None:
+                    continue
+                extinction[run] = step
+                if stop_on_extinction:
+                    runs[run] = _finished_run(x, slot, dl, step + 1, dt, step)
+                    drop.add(slot)
+        if drop:
+            keep = [i for i in range(len(live)) if i not in drop]
+            live = [live[i] for i in keep]
+            if not live:
+                break
+            batch = _EulerBatch([params[i] for i in live], x[:, keep], dt, inv_dl2)
+    if blowup is not None:
+        raise NumericalBlowup(blowup[1], run=blowup[0])
+    for slot, run in enumerate(live):
+        runs[run] = _finished_run(batch.fields, slot, dl, n_steps, dt, extinction[run])
+    return runs
 
 
 def integrate_rietkerk(
@@ -268,12 +433,11 @@ def integrate_rietkerk(
     extinction_threshold: float = 1e-3,
     stop_on_extinction: bool = False,
 ) -> RietkerkRun:
-    """Explicit Euler with a 5-point periodic Laplacian, T/dt steps.
+    """integrate_rietkerk_batch for a single run (scheme, extinction and
+    blowup as described there).
 
     When init is omitted it is drawn by random_rietkerk_state from `seed`
-    (n_cells then defaults to L/dl).  Extinction (mean vegetation below the
-    threshold, in g m^-2) is a labeled outcome, not an error; blowup (NaN,
-    infinity, or negativity beyond the -1e-9 Euler undershoot allowance) is.
+    (n_cells then defaults to L/dl).
     """
     if init is None:
         if seed is None:
@@ -281,31 +445,9 @@ def integrate_rietkerk(
         if n_cells is None:
             n_cells = int(round(params.L / params.dl))
         init = random_rietkerk_state(n_cells, params.dl, np.random.default_rng(seed))
-    u = init.u.astype(float).copy()
-    w = init.w.astype(float).copy()
-    v = init.v.astype(float).copy()
-    inv_dl2 = 1.0 / (init.dl * init.dl)
-    dt = params.dt
-    n_steps = int(round(params.T / dt))
-    extinction_step = None
-    for step in range(n_steps):
-        infil = params.alpha * u * (v + params.k2 * params.W0) / (v + params.k2)
-        uptake = params.g_m * v * w / (params.k1 + w)
-        u += dt * (params.R - infil + params.D_u * _laplacian(u, inv_dl2))
-        w += dt * (infil - uptake - params.delta_w * w + params.D_w * _laplacian(w, inv_dl2))
-        v += dt * (params.c * uptake - params.delta_v * v + params.D_v * _laplacian(v, inv_dl2))
-        low = min(u.min(), w.min(), v.min())
-        if not (low >= -1e-9):  # also catches NaN
-            raise NumericalBlowup(step)
-        if extinction_step is None and v.mean() < extinction_threshold:
-            extinction_step = step
-            if stop_on_extinction:
-                return RietkerkRun(
-                    RietkerkState(u, w, v, init.dl, (step + 1) * dt), step + 1, extinction_step
-                )
-    return RietkerkRun(
-        RietkerkState(u, w, v, init.dl, n_steps * dt), n_steps, extinction_step
-    )
+    return integrate_rietkerk_batch(
+        [params], [init], extinction_threshold, stop_on_extinction
+    )[0]
 
 
 def mean_vegetation(state: RietkerkState) -> Quantity:
@@ -359,8 +501,8 @@ class GridScale:
         return cls()
 
 
-def _rietkerk_single_run(args):
-    seed, run_idx, scale = args
+def _rietkerk_draw(seed: int, run_idx: int, scale: GridScale):
+    """Parameters and initial state of draw run_idx of experiment `seed`."""
     rng = np.random.default_rng((seed, run_idx))
     factors = rng.uniform(0.5, 1.5, _N_PHYSICAL)
     defaults = RietkerkParams()
@@ -375,10 +517,14 @@ def _rietkerk_single_run(args):
         L=scale.n_cells * defaults.dl,
         dl=defaults.dl,
     )
-    init = random_rietkerk_state(scale.n_cells, params.dl, rng)
-    run = integrate_rietkerk(params, init, stop_on_extinction=True)
-    label = float(run.state.v.mean())
-    return run_idx, params.feature_row(), label, run.extinct
+    return params, random_rietkerk_state(scale.n_cells, params.dl, rng)
+
+
+# Most runs rietkerk_experiment integrates together.  Median cost per
+# run-step on a 50 x 50 grid (numpy 2.4, 2-vCPU Xeon, 2 MB L2 per core):
+# 130 us at B = 1, 105 us at B = 3-6, 100 us at B = 8, 125 us at B = 16,
+# where the batch's buffers outgrow the cache.
+_MAX_BATCH = 8
 
 
 @dataclass
@@ -394,48 +540,45 @@ def rietkerk_experiment(
     seed: int,
     scale: GridScale = GridScale(),
     max_runs: int | None = None,
-    threads: int = 1,
 ) -> RietkerkExperiment:
     """Sample parameter draws (each physical parameter Unif(0.5x, 1.5x) its
     default; integration parameters fixed by the scale), integrate each, and
     label with mean vegetation at the horizon.
 
-    Extinct runs are excluded from both splits and counted in the metadata.
-    Runs are consumed in index order (train first, then test), so results are
-    deterministic in `seed` regardless of thread count.  Raises
-    InsufficientSurvivors if max_runs (default 3x the requested total)
-    integrations cannot fill both splits.
+    Draws are consumed in index order, batch by batch: each batch holds the
+    next min(survivors still wanted, draws left, 8) draws, so exactly the
+    draws up to the one that completes both splits are integrated, and the
+    results are those of integrating the draws one at a time.  Extinct runs
+    are excluded from both splits (train first, then test) and counted in
+    the metadata.  Raises InsufficientSurvivors if max_runs (default 3x the
+    requested total) integrations cannot fill both splits.
     """
     want = n_train + n_test
     if max_runs is None:
         max_runs = 3 * want
     spec = rietkerk_spec()
-    jobs = [(seed, i, scale) for i in range(max_runs)]
     rows, labels = [], []
-    n_extinct = 0
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_rietkerk_single_run, jobs, chunksize=1))
-    else:
-        results = []
-        for job in jobs:
-            results.append(_rietkerk_single_run(job))
-            done = sum(1 for r in results if not r[3])
-            if done >= want:
-                break
-    results.sort(key=lambda r: r[0])
-    for _, row, label, extinct in results:
-        if extinct:
-            n_extinct += 1
-            continue
-        if len(rows) < want:
-            rows.append(row)
-            labels.append(label)
+    n_runs = n_extinct = 0
+    while len(rows) < want and n_runs < max_runs:
+        size = min(want - len(rows), max_runs - n_runs, _MAX_BATCH)
+        draws = [_rietkerk_draw(seed, i, scale) for i in range(n_runs, n_runs + size)]
+        try:
+            runs = integrate_rietkerk_batch(
+                [params for params, _ in draws], [init for _, init in draws],
+                stop_on_extinction=True,
+            )
+        except NumericalBlowup as e:
+            raise NumericalBlowup(e.step, run=n_runs + e.run) from None
+        n_runs += size
+        for (params, _), run in zip(draws, runs):
+            if run.extinct:
+                n_extinct += 1
+            else:
+                rows.append(params.feature_row())
+                labels.append(float(run.state.v.mean()))
     if len(rows) < want:
         raise InsufficientSurvivors(
-            f"{len(rows)} surviving runs from {len(results)} integrations, need {want}"
+            f"{len(rows)} surviving runs from {n_runs} integrations, need {want}"
         )
     rows = np.array(rows)
     labels = np.array(labels)
@@ -443,7 +586,7 @@ def rietkerk_experiment(
     test = Dataset(spec, rows[n_train:want], labels[n_train:want], VEGETATION_UNITS)
     meta = {
         "seed": seed,
-        "n_runs": len(results),
+        "n_runs": n_runs,
         "n_extinct": n_extinct,
         "n_cells": scale.n_cells,
         "total_time": scale.total_time,

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pireg import sims
 from pireg.pi import dimensionless_basis, decoder_solutions, monomial_units
 from pireg.sims import (
     ENERGY_UNITS,
@@ -23,6 +26,7 @@ from pireg.sims import (
     double_pendulum_spec,
     hamiltonian,
     integrate_rietkerk,
+    integrate_rietkerk_batch,
     mean_vegetation,
     pendulum_spec,
     planck_spec,
@@ -308,6 +312,133 @@ def test_state_snapshot_roundtrip(tmp_path):
     assert back.dl == state.dl and back.t == state.t
 
 
+# --- batched Rietkerk integrator ---------------------------------------------
+
+
+def roll_loop_oracle(params, init, extinction_threshold=1e-3, stop_on_extinction=False):
+    """The single-run np.roll Euler loop that integrate_rietkerk used before it
+    became a batch of one, frozen as the bitwise reference.  Returns
+    (u, w, v, steps, extinction_step); raises NumericalBlowup(step)."""
+
+    def laplacian(f, inv_dl2):
+        lap = np.roll(f, 1, 0)
+        lap += np.roll(f, -1, 0)
+        lap += np.roll(f, 1, 1)
+        lap += np.roll(f, -1, 1)
+        lap -= 4.0 * f
+        return lap * inv_dl2
+
+    u = init.u.astype(float).copy()
+    w = init.w.astype(float).copy()
+    v = init.v.astype(float).copy()
+    inv_dl2 = 1.0 / (init.dl * init.dl)
+    dt = params.dt
+    n_steps = int(round(params.T / dt))
+    extinction_step = None
+    for step in range(n_steps):
+        infil = params.alpha * u * (v + params.k2 * params.W0) / (v + params.k2)
+        uptake = params.g_m * v * w / (params.k1 + w)
+        u += dt * (params.R - infil + params.D_u * laplacian(u, inv_dl2))
+        w += dt * (infil - uptake - params.delta_w * w + params.D_w * laplacian(w, inv_dl2))
+        v += dt * (params.c * uptake - params.delta_v * v + params.D_v * laplacian(v, inv_dl2))
+        low = min(u.min(), w.min(), v.min())
+        if not (low >= -1e-9):
+            raise NumericalBlowup(step)
+        if extinction_step is None and v.mean() < extinction_threshold:
+            extinction_step = step
+            if stop_on_extinction:
+                return u, w, v, step + 1, extinction_step
+    return u, w, v, n_steps, extinction_step
+
+
+def varied_runs(n_runs, extinct=(), shape=(9, 12), T=1.0, seed=0, **fixed):
+    """Runs with every physical parameter scaled by Unif(0.5, 1.5) on a
+    non-square grid.  Runs listed in `extinct` start with a thin, fast-dying
+    vegetation layer that falls below the extinction threshold mid-run."""
+    rng = np.random.default_rng(seed)
+    names = ["R", "alpha", "k2", "W0", "D_u", "g_m", "k1", "delta_w", "D_w", "c",
+             "delta_v", "D_v"]
+    defaults = RietkerkParams()
+    params, inits = [], []
+    for i in range(n_runs):
+        values = {n: getattr(defaults, n) * rng.uniform(0.5, 1.5) for n in names}
+        u = rng.uniform(0.0, 5.0, shape)
+        w = rng.uniform(0.0, 5.0, shape)
+        if i in extinct:
+            values["delta_v"] = 1.0
+            v = rng.uniform(0.0, 0.003, shape)
+        else:
+            v = np.where(rng.random(shape) < 0.1, rng.uniform(0.0, 50.0, shape), 0.0)
+        values.update(fixed)
+        params.append(RietkerkParams(**values, T=T))
+        inits.append(RietkerkState(u, w, v, dl=2.0))
+    return params, inits
+
+
+@pytest.mark.parametrize("stop", [False, True])
+@pytest.mark.parametrize("n_runs, extinct", [(1, ()), (1, (0,)), (3, (1,)), (8, (2, 5))])
+def test_batch_bit_identical_to_roll_loop(n_runs, extinct, stop):
+    params, inits = varied_runs(n_runs, extinct, seed=n_runs)
+    before = [(s.u.copy(), s.w.copy(), s.v.copy()) for s in inits]
+    runs = integrate_rietkerk_batch(params, inits, stop_on_extinction=stop)
+    assert len(runs) == n_runs
+    for i, (p, init, run) in enumerate(zip(params, inits, runs)):
+        u, w, v, steps, extinction_step = roll_loop_oracle(p, init, stop_on_extinction=stop)
+        assert np.array_equal(run.state.u, u), i
+        assert np.array_equal(run.state.w, w), i
+        assert np.array_equal(run.state.v, v), i
+        assert run.steps == steps and run.extinction_step == extinction_step, i
+        assert run.state.t == steps * p.dt
+        if i in extinct:  # extinct strictly inside the horizon
+            assert 0 < extinction_step < 199
+        else:
+            assert extinction_step is None
+    for (u, w, v), init in zip(before, inits):  # the initial states are not written
+        assert np.array_equal(u, init.u) and np.array_equal(w, init.w)
+        assert np.array_equal(v, init.v)
+
+
+def test_batch_blowup_reports_lowest_run_at_its_serial_step():
+    # run 1 is Euler-unstable (D_u dt / dl^2 = 0.5) from a nearly flat u, so
+    # its checkerboard mode needs a few steps to drive u negative; run 2
+    # (D_u dt / dl^2 = 2500) blows up at once, but a loop over runs in index
+    # order reaches run 1 first
+    params, inits = varied_runs(3, seed=4)
+    params[1] = replace(params[1], D_u=400.0)
+    params[2] = replace(params[2], D_u=2e6)
+    board = np.indices(inits[1].u.shape).sum(axis=0) % 2
+    inits[1] = replace(inits[1], u=2.0 + 1e-3 * board)
+    steps = []
+    for p, init in zip(params[1:], inits[1:]):
+        with pytest.raises(NumericalBlowup) as serial:
+            roll_loop_oracle(p, init)
+        steps.append(serial.value.step)
+    assert steps[1] < steps[0]
+    roll_loop_oracle(params[0], inits[0])  # run 0 is stable
+    for stop in (False, True):
+        with pytest.raises(NumericalBlowup, match=r"\brun 1\b") as batched:
+            integrate_rietkerk_batch(params, inits, stop_on_extinction=stop)
+        assert batched.value.step == steps[0] and batched.value.run == 1
+
+
+def test_batch_rejects_mixed_integration_settings():
+    params, inits = varied_runs(2)
+    for changed in ({"dt": 0.004}, {"T": 2.0}):
+        mixed = [params[0], replace(params[1], **changed)]
+        with pytest.raises(ValueError, match="dt and T"):
+            integrate_rietkerk_batch(mixed, inits)
+    other = inits[1]
+    coarse = replace(other, dl=4.0)
+    small = RietkerkState(other.u[:, :6], other.w[:, :6], other.v[:, :6], dl=2.0)
+    for state in (coarse, small):
+        with pytest.raises(ValueError, match="grid"):
+            integrate_rietkerk_batch(params, [inits[0], state])
+    with pytest.raises(ValueError):
+        integrate_rietkerk_batch(params, inits[:1])
+    with pytest.raises(ValueError):
+        integrate_rietkerk_batch([], [])
+
+
 # --- Rietkerk experiment ----------------------------------------------------
 
 TINY = GridScale(n_cells=8, total_time=1.0)
@@ -335,6 +466,53 @@ def test_rietkerk_experiment_parameter_ranges():
     assert np.all(rows[:, 13] == RietkerkParams().dt)
     assert np.all(rows[:, 14] == TINY.n_cells * RietkerkParams().dl)  # L
     assert np.all(rows[:, 15] == RietkerkParams().dl)
+
+
+# draw 3 of this experiment goes extinct at step 5654 of 6000
+EXTINCT_SCALE = GridScale(n_cells=8, total_time=30.0)
+
+
+@pytest.fixture(scope="module")
+def draws_one_by_one():
+    """(feature row, label) per draw of seed 1 at EXTINCT_SCALE, None when
+    extinct, each draw integrated on its own."""
+    out = []
+    for i in range(6):
+        params, init = sims._rietkerk_draw(1, i, EXTINCT_SCALE)
+        run = integrate_rietkerk(params, init, stop_on_extinction=True)
+        out.append(None if run.extinct else (params.feature_row(), float(run.state.v.mean())))
+    return out
+
+
+@pytest.mark.parametrize("max_batch", [1, 3, 8])
+def test_rietkerk_experiment_consumes_draws_in_index_order(
+    monkeypatch, draws_one_by_one, max_batch
+):
+    monkeypatch.setattr(sims, "_MAX_BATCH", max_batch)
+    exp = rietkerk_experiment(3, 2, seed=1, scale=EXTINCT_SCALE)
+    survivors = [i for i, d in enumerate(draws_one_by_one) if d is not None]
+    assert survivors[:5] == [0, 1, 2, 4, 5]
+    assert exp.metadata["n_runs"] == 1 + survivors[4]
+    assert exp.metadata["n_extinct"] == 1
+    rows = np.vstack([exp.train.rows, exp.test.rows])
+    labels = np.concatenate([exp.train.label_values, exp.test.label_values])
+    assert np.array_equal(rows, [draws_one_by_one[i][0] for i in survivors[:5]])
+    assert np.array_equal(labels, [draws_one_by_one[i][1] for i in survivors[:5]])
+
+
+@pytest.mark.parametrize("max_batch", [3, 8])
+def test_rietkerk_experiment_blowup_names_the_draw(monkeypatch, max_batch):
+    draw = sims._rietkerk_draw
+
+    def unstable_fifth_draw(seed, run_idx, scale):
+        params, init = draw(seed, run_idx, scale)
+        return (replace(params, D_u=2e6) if run_idx == 4 else params), init
+
+    monkeypatch.setattr(sims, "_rietkerk_draw", unstable_fifth_draw)
+    monkeypatch.setattr(sims, "_MAX_BATCH", max_batch)
+    with pytest.raises(NumericalBlowup, match=r"\brun 4\b") as err:
+        rietkerk_experiment(3, 2, seed=5, scale=TINY)
+    assert err.value.run == 4 and err.value.step == 0
 
 
 def test_rietkerk_experiment_insufficient_survivors():
