@@ -40,6 +40,7 @@ from .pi import (
     dimensionless_basis,
     enumerate_monomials,
     evaluate_monomial,
+    lattice_points,
     reynolds_project,
     sample_dimensional_monomials,
     total_degree,

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pi, regress, sims
+from .intlinalg import solve_diophantine
 from .pi import FeatureSpec, Monomial, SCHEMA_VERSION
 from .units import UnitError
 
@@ -74,8 +75,6 @@ def cmd_units_check(args, config) -> int:
     s = spec.d - rk
     print(f"d={spec.d} k={spec.k} rank={rk} s={s}")
     if label_units is not None:
-        from .intlinalg import solve_diophantine
-
         sol = solve_diophantine(spec.units_matrix(), label_units.exps)
         print(f"label units reachable: {'yes' if sol is not None else 'no'}")
     return EXIT_OK
@@ -118,13 +117,16 @@ def _resolve_features(arg: str, spec: FeatureSpec) -> list[Monomial]:
 
 def _resolve_decoders(arg: str, spec, label_units, max_degree) -> list[Monomial]:
     sols = pi.decoder_solutions(spec, label_units, max_degree)
-    if arg == "auto":
-        if not sols:
+    if arg in ("auto", "ensemble") and not sols:
+        if solve_diophantine(spec.units_matrix(), label_units.exps) is None:
             raise DataError("no decoder monomial exists for the label units")
+        raise DataError(
+            f"no decoder monomial for the label units has degree <= {max_degree}; "
+            "raise --decoder-max-degree"
+        )
+    if arg == "auto":
         return [sols[0]]
     if arg == "ensemble":
-        if not sols:
-            raise DataError("no decoder monomial exists for the label units")
         return sols
     if arg.startswith("index:"):
         i = int(arg.split(":", 1)[1])

@@ -97,6 +97,42 @@ def det(A: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def adjugate(A: IntMatrix) -> IntMatrix:
+    """Exact adjugate, adj(A) @ A = A @ adj(A) = det(A) * I, from cofactors."""
+    if A.rows != A.cols:
+        raise ValueError("adjugate of a non-square matrix")
+    n = A.rows
+    if n == 1:
+        return IntMatrix([[1]])
+    m = A.entries
+    return IntMatrix([
+        [(-1) ** (i + j) * det(IntMatrix([row[:i] + row[i + 1:]
+                                          for r, row in enumerate(m) if r != j]))
+         for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def nonsingular_minor(A: IntMatrix, row_order) -> tuple[list[int], list[int]]:
+    """Rows R and columns C of A with A[R, C] nonsingular and |R| = rank(A).
+
+    Rows are tried in row_order; one joins R when some unused column extends
+    the nonsingular minor, which happens exactly when the row is independent
+    of R, so R is the first basis of the row space in that order.
+    """
+    rows: list[int] = []
+    cols: list[int] = []
+    for i in row_order:
+        for j in range(A.cols):
+            if j not in cols and det(
+                IntMatrix([[A.entries[a][b] for b in cols + [j]] for a in rows + [i]])
+            ):
+                rows.append(i)
+                cols.append(j)
+                break
+    return rows, cols
+
+
 @dataclass(frozen=True)
 class SnfDecomposition:
     """S * A * T = D, with S (r x r) and T (c x c) unimodular."""

@@ -16,16 +16,15 @@ exposed separately.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .geometry import ScalarFeature
-from .intlinalg import IntMatrix, nullspace_basis, smith_normal_form, solve_diophantine
+from .intlinalg import IntMatrix, adjugate, det, nonsingular_minor, nullspace_basis
 from .units import (
     BaseUnitSystem,
     Quantity,
@@ -318,24 +317,65 @@ def _exponent_ranges(spec: FeatureSpec, max_degree: int) -> list[range]:
     return ranges
 
 
-def _sweep_count(ranges: Sequence[range]) -> int:
-    n = 1
-    for r in ranges:
-        n *= len(r)
-    return n
+def lattice_points(
+    spec: FeatureSpec,
+    target_units: UnitVector | None,
+    max_degree: int,
+    max_candidates: int = 10**8,
+) -> np.ndarray:
+    """All exponent vectors alpha in the degree ball (each alpha_i in
+    _exponent_ranges) with units alpha^T U == target_units, as a (p, d)
+    int64 array in lexicographic row order; target_units=None drops the
+    unit constraint and returns the whole ball.
 
-
-def _iter_exp_chunks(ranges, chunk_rows: int = 1 << 18):
-    """Yield (start_offset, int64 array) chunks of the full product sweep in
-    lexicographic order."""
-    it = itertools.product(*ranges)
-    offset = 0
-    while True:
-        block = list(itertools.islice(it, chunk_rows))
-        if not block:
-            return
-        yield offset, np.array(block, dtype=np.int64)
-        offset += len(block)
+    With a target, r = rank(U) pivot features, widest exponent range first,
+    and r base units give a nonsingular r x r minor M of U.  Only the box of
+    the d - r free exponents is swept: for each free point the pivots solve
+    alpha_P^T M = b^T, b the target less the free features' units, exactly
+    as b^T adj(M) / det(M), and are kept when they land in range and the
+    whole point carries the target units, which holds only where the
+    division is exact and the target lies in U's row space.  Raises
+    EnumerationTooLarge when the swept box exceeds max_candidates points.
+    """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    if target_units is not None and len(target_units) != spec.k:
+        raise ValueError("target units live in a different base system")
+    ranges = _exponent_ranges(spec, max_degree)
+    U = spec.units_matrix()
+    rows, cols = ([], []) if target_units is None else nonsingular_minor(
+        U, sorted(range(spec.d), key=lambda i: (ranges[i].start - ranges[i].stop, i)))
+    free = [i for i in range(spec.d) if i not in rows]
+    # stop - start, not len(), which raises past sys.maxsize: huge degrees reach the cap
+    sizes = [ranges[i].stop - ranges[i].start for i in free]
+    count = math.prod(sizes)
+    if count > max_candidates:
+        raise EnumerationTooLarge(count, max_candidates)
+    lo = np.array([ranges[i].start for i in free], dtype=np.int64)
+    grid = np.indices(sizes, dtype=np.int64).reshape(len(free), count).T + lo
+    if target_units is None:
+        return grid
+    Ua = np.array(U.entries, dtype=np.int64)
+    target = np.array(target_units.exps, dtype=np.int64)
+    pivot = np.empty((count, len(rows)), dtype=np.int64)
+    if rows:
+        M = IntMatrix([[U.entries[i][j] for j in cols] for i in rows])
+        det_m, adj = det(M), adjugate(M).entries
+        # |b| and |alpha^T U| stay below scale, and the solve multiplies b
+        # by at most r * max|adj(M)|, so int64 holds every intermediate
+        scale = max(map(abs, target_units.exps)) + sum(
+            max(-r.start, r.stop - 1) * max(map(abs, row)) for r, row in zip(ranges, U.entries))
+        if scale * len(rows) * max(abs(a) for row in adj for a in row) >= 2**63:
+            raise ValueError("unit exponents too large for the int64 lattice solve")
+        # an inexact division floors to a pivot that fails the unit check
+        pivot = (target[cols] - grid @ Ua[np.ix_(free, cols)]) @ np.array(adj) // det_m
+        lo, hi = zip(*((ranges[i].start, ranges[i].stop - 1) for i in rows))
+        keep = np.all((pivot >= lo) & (pivot <= hi), axis=1)
+        grid, pivot = grid[keep], pivot[keep]
+    pts = np.empty((len(grid), spec.d), dtype=np.int64)
+    pts[:, free], pts[:, rows] = grid, pivot
+    pts = pts[np.all(pts @ Ua == target, axis=1)]
+    return pts[np.lexsort(pts.T[::-1])]
 
 
 def enumerate_monomials(
@@ -345,27 +385,15 @@ def enumerate_monomials(
     max_candidates: int = 10**8,
 ) -> list[Monomial]:
     """All monomials with degree(alpha) <= max_degree, honoring each feature's
-    sign constraint, in lexicographic exponent order.
-
-    The sweep is the full box prod_i [lo_i, hi_i] with hi_i = max_degree //
-    weight_i (lo_i = 0 where negative exponents are disallowed); with
-    dimensionless_only the box is filtered to the units-matrix kernel.
-    Raises EnumerationTooLarge when the box exceeds max_candidates.
+    sign constraint, in lexicographic exponent order: lattice_points over
+    the whole degree box, or with dimensionless_only over the units-matrix
+    kernel, where only the d - rank(U) free exponents are swept (pendulum
+    degree 4: 32,805 free points for 6,082 monomials, not a 23.9 M box).
+    Raises EnumerationTooLarge when the swept box exceeds max_candidates.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    ranges = _exponent_ranges(spec, max_degree)
-    count = _sweep_count(ranges)
-    if count > max_candidates:
-        raise EnumerationTooLarge(count, max_candidates)
-    U = np.array([f.units.exps for f in spec.features], dtype=np.int64)
-    out = []
-    for _, block in _iter_exp_chunks(ranges):
-        if dimensionless_only:
-            mask = ~np.any(block @ U, axis=1)
-            block = block[mask]
-        out.extend(Monomial(tuple(int(e) for e in row)) for row in block)
-    return out
+    target = spec.system.zero() if dimensionless_only else None
+    pts = lattice_points(spec, target, max_degree, max_candidates)
+    return [Monomial(tuple(row)) for row in pts.tolist()]
 
 
 def sample_dimensional_monomials(
@@ -410,28 +438,15 @@ def decoder_solutions(
     max_candidates: int = 10**8,
 ) -> list[Monomial]:
     """All monomials with the given target units and degree <= max_degree,
-    sorted by (degree, total_degree, exponent tuple).
-
-    Empty when no integer solution exists at all (Diophantine infeasibility,
-    checked first) or none lands inside the degree ball.
+    sorted by (degree, total_degree, exponent tuple): the lattice_points
+    solutions, so empty when no integer solution exists at all or none lands
+    inside the degree ball.  EnumerationTooLarge when the free box of the
+    lattice solve exceeds max_candidates.
     """
-    if len(target_units) != spec.k:
-        raise ValueError("target units live in a different base system")
-    U = spec.units_matrix()
-    if solve_diophantine(U, target_units.exps) is None:
-        return []
-    ranges = _exponent_ranges(spec, max_degree)
-    count = _sweep_count(ranges)
-    if count > max_candidates:
-        raise EnumerationTooLarge(count, max_candidates)
-    Ua = np.array([f.units.exps for f in spec.features], dtype=np.int64)
-    target = np.array(target_units.exps, dtype=np.int64)
-    hits = []
-    for _, block in _iter_exp_chunks(ranges):
-        mask = np.all(block @ Ua == target, axis=1)
-        hits.extend(Monomial(tuple(int(e) for e in row)) for row in block[mask])
-    hits.sort(key=lambda mm: (degree(mm, spec), total_degree(mm), mm.exps))
-    return hits
+    pts = lattice_points(spec, target_units, max_degree, max_candidates)
+    mags = np.abs(pts)
+    keys = tuple(pts.T[::-1]) + (mags.sum(axis=1), (mags * spec.weights()).max(axis=1))
+    return [Monomial(tuple(row)) for row in pts[np.lexsort(keys)].tolist()]
 
 
 def apply_decoder(

@@ -32,6 +32,19 @@ class InsufficientSurvivors(RuntimeError):
     pass
 
 
+class EulerUnstable(ValueError):
+    """A run's diffusion number max(D_u, D_w, D_v) dt / dl^2 exceeds 1/4, the
+    stability limit of explicit Euler with the 5-point Laplacian."""
+
+    def __init__(self, run, value):
+        super().__init__(
+            f"run {run}: explicit Euler is unstable, max(D_u, D_w, D_v) dt / dl^2 "
+            f"= {value:g} > 1/4"
+        )
+        self.run = run
+        self.value = value
+
+
 # ---------------------------------------------------------------------------
 # springy pendulum
 
@@ -366,7 +379,9 @@ def integrate_rietkerk_batch(
     Explicit Euler with a 5-point periodic Laplacian, T/dt steps.  The runs
     must share dt, T, the grid spacing and the grid shape (ValueError
     otherwise); the grid is taken from the states, so params.L and params.dl
-    are not read.  Extinction (mean vegetation below the threshold, in
+    are not read.  Before the first step every run must satisfy
+    max(D_u, D_w, D_v) dt / dl^2 <= 1/4; EulerUnstable names the first run
+    that does not.  Extinction (mean vegetation below the threshold, in
     g m^-2) is a labeled outcome, not an error; with stop_on_extinction an
     extinct run leaves the batch at that step.  Blowup (NaN in any field, or
     negativity beyond the -1e-9 Euler undershoot allowance) raises
@@ -378,13 +393,16 @@ def integrate_rietkerk_batch(
         raise ValueError(f"need one initial state per run, got {len(params)} "
                          f"parameter sets and {len(inits)} states")
     dt, T, dl, shape = params[0].dt, params[0].T, inits[0].dl, inits[0].u.shape
-    for p, s in zip(params, inits):
+    inv_dl2 = 1.0 / (dl * dl)
+    for run, (p, s) in enumerate(zip(params, inits)):
         if p.dt != dt or p.T != T:
             raise ValueError("runs in one batch must share dt and T")
         if s.dl != dl or not (s.u.shape == s.w.shape == s.v.shape == shape):
             raise ValueError("runs in one batch must share the grid spacing and shape")
+        diffusion_number = max(p.D_u, p.D_w, p.D_v) * dt * inv_dl2
+        if not diffusion_number <= 0.25:
+            raise EulerUnstable(run, diffusion_number)
     n_steps = int(round(T / dt))
-    inv_dl2 = 1.0 / (dl * dl)
     fields = np.array([[s.u for s in inits], [s.w for s in inits], [s.v for s in inits]],
                       dtype=float)
     batch = _EulerBatch(params, fields, dt, inv_dl2)
@@ -569,6 +587,8 @@ def rietkerk_experiment(
             )
         except NumericalBlowup as e:
             raise NumericalBlowup(e.step, run=n_runs + e.run) from None
+        except EulerUnstable as e:
+            raise EulerUnstable(n_runs + e.run, e.value) from None
         n_runs += size
         for (params, _), run in zip(draws, runs):
             if run.extinct:

@@ -19,6 +19,9 @@ def write_spec(tmp_path, spec, label_units=None, name="spec.json"):
     return str(path)
 
 
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
 def two_mass_spec():
     system = si_system(("kg",))
     kg = parse_unit("kg", system)
@@ -112,6 +115,16 @@ def test_enumerate_pendulum_dimensionless_count(tmp_path, capsys):
 def test_enumerate_too_large_is_spec_error(tmp_path, capsys):
     path = write_spec(tmp_path, sims.pendulum_spec())
     assert main(["enumerate", path, "--max-degree", "6"]) == 2
+    for flags in ([], ["--dimensionless-only"]):
+        assert main(["enumerate", path, "--max-degree", str(2**63)] + flags) == 2
+
+
+def test_enumerate_springy_degree_four(capsys):
+    # the free box of the lattice solve is 32,805 points; the full degree
+    # box, 9^6 * 3 * 5 * 3, would be 23.9 M
+    assert main(["enumerate", str(SPECS / "springy.json"), "--max-degree", "4",
+                 "--dimensionless-only"]) == 0
+    assert "6082 dimensionless monomials at max degree 4" in capsys.readouterr().out
 
 
 # --- regress --------------------------------------------------------------------
@@ -205,6 +218,32 @@ def test_regress_planck_constant_fit(tmp_path, capsys):
         {"monomial": "1", "weight": pytest.approx(2.0, rel=1e-9)}
     ]
     assert entry["train_dimensionless_mse"] <= 1e-20
+
+
+def test_regress_decoder_beyond_max_degree(tmp_path, capsys):
+    # the Planck decoder lam^-4 T c k_B has degree 4, past the default 2
+    data = sims.blackbody_dataset(64, seed=1)
+    regress.save_dataset_csv(data, tmp_path / "bb.csv")
+    args = ["regress", str(tmp_path / "bb.csv"), "--spec", str(SPECS / "planck.json"),
+            "--features", "basis"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "degree <= 2" in err and "raise --decoder-max-degree" in err
+    assert main(args + ["--decoder-max-degree", "4"]) == 0
+
+
+def test_regress_decoder_infeasible_units(tmp_path, capsys):
+    system = si_system(("m",))
+    spec = FeatureSpec((FeatureDef("area", parse_unit("m^2", system)),), system)
+    rows = np.linspace(1.0, 2.0, 8).reshape(-1, 1)
+    data = regress.Dataset(spec, rows, np.sqrt(rows[:, 0]), parse_unit("m", system))
+    regress.save_dataset_csv(data, tmp_path / "area.csv")
+    spec_path = write_spec(tmp_path, spec, label_units="m")
+    for decoder in ("auto", "ensemble"):
+        assert main(["regress", str(tmp_path / "area.csv"), "--spec", spec_path,
+                     "--features", "basis", "--decoder", decoder,
+                     "--decoder-max-degree", "6"]) == 3
+        assert "no decoder monomial exists" in capsys.readouterr().err
 
 
 def test_regress_decoder_ensemble(tmp_path):

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from pireg.intlinalg import (
     IntMatrix,
+    adjugate,
     det,
+    nonsingular_minor,
     nullspace_basis,
     rank,
     smith_normal_form,
@@ -224,6 +226,29 @@ square_matrices = st.integers(1, 4).flatmap(
 @given(square_matrices)
 def test_det_matches_permutation_expansion(A):
     assert det(A) == permutation_det(A)
+
+
+@given(square_matrices)
+def test_adjugate_times_matrix_is_det_identity(A):
+    scaled = IntMatrix([[det(A) if i == j else 0 for j in range(A.rows)]
+                        for i in range(A.rows)])
+    assert adjugate(A) @ A == scaled
+    assert A @ adjugate(A) == scaled
+
+
+@given(int_matrices, st.randoms(use_true_random=False))
+def test_nonsingular_minor_is_first_row_basis(A, rnd):
+    order = list(range(A.rows))
+    rnd.shuffle(order)
+    rows, cols = nonsingular_minor(A, order)
+    assert len(rows) == len(cols) == rational_rank(A.entries)
+    if rows:
+        assert det(IntMatrix([[A.entries[i][j] for j in cols] for i in rows])) != 0
+    # a row is skipped exactly when it depends on the rows tried before it
+    for t, i in enumerate(order):
+        tried = [A.entries[j] for j in order[: t + 1]]
+        independent = rational_rank(tried) > rational_rank(tried[:-1]) if t else any(tried[0])
+        assert (i in rows) == independent
 
 
 def test_matmul_and_shape():

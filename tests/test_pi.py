@@ -21,6 +21,7 @@ from pireg.pi import (
     evaluate_monomial,
     evaluate_monomial_rows,
     format_monomial,
+    lattice_points,
     load_monomials,
     monomial_from_json_dict,
     monomial_to_json_dict,
@@ -32,6 +33,7 @@ from pireg.pi import (
     total_degree,
 )
 from pireg.intlinalg import IntMatrix, rank, solve_diophantine
+from pireg.sims import double_pendulum_spec
 from pireg.units import (
     BaseUnitSystem,
     GroupElement,
@@ -133,14 +135,28 @@ def test_enumeration_cap():
         enumerate_monomials(MKLP, 2, max_candidates=10)
 
 
-def brute_force_enumerate(spec, max_degree):
+def test_cap_counts_the_free_box(pend_spec):
+    # pendulum degree 3: pivots m, k_s, L; free box 7^3 * 2 * 3 * 2 = 4,116
+    assert len(enumerate_monomials(pend_spec, 3, True, max_candidates=4116)) == 919
+    with pytest.raises(EnumerationTooLarge) as err:
+        enumerate_monomials(pend_spec, 3, True, max_candidates=4115)
+    assert err.value.count == 4116
+    with pytest.raises(EnumerationTooLarge) as err:
+        enumerate_monomials(pend_spec, 3, max_candidates=10**6)
+    assert err.value.count == 7**6 * 2 * 3 * 2
+
+
+def _box_ranges(spec, max_degree):
     ranges = []
     for f in spec.features:
         cap = max_degree // f.degree_weight
-        lo = -cap if f.allow_negative_exponent else 0
-        ranges.append(range(lo, cap + 1))
+        ranges.append(range(-cap if f.allow_negative_exponent else 0, cap + 1))
+    return ranges
+
+
+def brute_force_enumerate(spec, max_degree):
     out = []
-    for exps in itertools.product(*ranges):
+    for exps in itertools.product(*_box_ranges(spec, max_degree)):
         if max((w * abs(e) for w, e in zip(spec.weights(), exps)), default=0) <= max_degree:
             out.append(exps)
     return sorted(out)
@@ -167,6 +183,136 @@ def test_enumerate_matches_brute_force(d, k, max_degree, rnd):
     spec = FeatureSpec(feats, base)
     got = sorted(m.exps for m in enumerate_monomials(spec, max_degree))
     assert got == brute_force_enumerate(spec, max_degree)
+
+
+def _box_chunks(ranges, chunk_rows=1 << 18):
+    it = itertools.product(*ranges)
+    while block := list(itertools.islice(it, chunk_rows)):
+        yield np.array(block, dtype=np.int64)
+
+
+def box_sweep_enumerate(spec, max_degree, dimensionless_only=False):
+    """The full degree-box sweep enumerate_monomials ran before it called
+    lattice_points, frozen as the reference."""
+    U = np.array([f.units.exps for f in spec.features], dtype=np.int64)
+    out = []
+    for block in _box_chunks(_box_ranges(spec, max_degree)):
+        if dimensionless_only:
+            block = block[~np.any(block @ U, axis=1)]
+        out.extend(Monomial(tuple(int(e) for e in row)) for row in block)
+    return out
+
+
+def box_sweep_decoders(spec, target_units, max_degree):
+    """The box sweep decoder_solutions ran before it called lattice_points."""
+    if solve_diophantine(spec.units_matrix(), target_units.exps) is None:
+        return []
+    U = np.array([f.units.exps for f in spec.features], dtype=np.int64)
+    target = np.array(target_units.exps, dtype=np.int64)
+    hits = []
+    for block in _box_chunks(_box_ranges(spec, max_degree)):
+        mask = np.all(block @ U == target, axis=1)
+        hits.extend(Monomial(tuple(int(e) for e in row)) for row in block[mask])
+    hits.sort(key=lambda mm: (degree(mm, spec), total_degree(mm), mm.exps))
+    return hits
+
+
+@pytest.mark.parametrize("max_degree", [2, 3])
+def test_pendulum_enumeration_equals_box_sweep(pend_spec, max_degree):
+    got = enumerate_monomials(pend_spec, max_degree, dimensionless_only=True)
+    assert len(got) == {2: 286, 3: 919}[max_degree]
+    assert got == box_sweep_enumerate(pend_spec, max_degree, dimensionless_only=True)
+
+
+def test_pendulum_energy_decoders_equal_box_sweep(pend_spec):
+    energy = parse_unit("J", MECH)
+    got = decoder_solutions(pend_spec, energy, 3)
+    assert len(got) == 984
+    assert got == box_sweep_decoders(pend_spec, energy, 3)
+
+
+def test_double_pendulum_enumeration_equals_box_sweep():
+    spec = double_pendulum_spec()
+    got = enumerate_monomials(spec, 1, dimensionless_only=True)
+    assert len(got) == 1097
+    assert got == box_sweep_enumerate(spec, 1, dimensionless_only=True)
+
+
+def test_pendulum_degree_four(pend_spec):
+    got = enumerate_monomials(pend_spec, 4, dimensionless_only=True)
+    assert len(got) == 6082
+    assert all(a.exps < b.exps for a, b in zip(got, got[1:]))
+    assert all(monomial_units(m, pend_spec).is_zero() for m in got)
+    assert all(degree(m, pend_spec) <= 4 for m in got)
+
+
+def box_filter(spec, target, max_degree):
+    """Independent reference: every point of the degree box, in product
+    order, whose units equal target (all of them when target is None)."""
+    U = spec.units_matrix().entries
+    out = []
+    for alpha in itertools.product(*_box_ranges(spec, max_degree)):
+        units = [sum(a * row[j] for a, row in zip(alpha, U)) for j in range(spec.k)]
+        if target is None or units == list(target):
+            out.append(list(alpha))
+    return out
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.sampled_from(["none", "zero", "feasible", "random"]),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=80)
+def test_lattice_points_match_box_filter(d, k, max_degree, target_kind, deficient, rnd):
+    base = BaseUnitSystem(tuple(f"u{i}" for i in range(k)))
+    rows = [[rnd.randint(-2, 2) for _ in range(k)] for _ in range(d)]
+    if deficient:  # the last base unit repeats a multiple of the first (or is unused)
+        c = rnd.choice([0, 1, -2])
+        for row in rows:
+            row[-1] = c * row[0] if k > 1 else 0
+    feats = tuple(
+        FeatureDef(f"x{i}", UnitVector(tuple(row)), rnd.choice([1, 2]), rnd.choice([True, False]))
+        for i, row in enumerate(rows)
+    )
+    spec = FeatureSpec(feats, base)
+    if target_kind == "none":
+        target = None
+    elif target_kind == "zero":
+        target = (0,) * k
+    elif target_kind == "feasible":  # the units of a point inside the ball
+        alpha = [rnd.choice(r) for r in _box_ranges(spec, max_degree)]
+        target = tuple(sum(a * row[j] for a, row in zip(alpha, rows)) for j in range(k))
+    else:  # often outside U's integer row lattice, or its row space
+        target = tuple(rnd.randint(-3, 3) for _ in range(k))
+    pts = lattice_points(spec, None if target is None else UnitVector(target), max_degree)
+    assert pts.dtype == np.int64 and pts.shape[1] == d
+    assert pts.tolist() == box_filter(spec, target, max_degree)
+
+
+def test_lattice_points_infeasible_and_empty_targets():
+    area = mech_spec(("area", "m^2", 1, True))
+    # the 1x1 minor has determinant 2, so odd lengths never divide exactly
+    assert lattice_points(area, parse_unit("m", MECH), 6).shape == (0, 1)
+    assert lattice_points(area, parse_unit("m^4", MECH), 6).tolist() == [[2]]
+    # kg lies outside the row space of a length-only spec
+    lengths = mech_spec(("a", "m", 1, True), ("b", "m", 1, True))
+    assert lattice_points(lengths, parse_unit("kg", MECH), 3).shape == (0, 2)
+    with pytest.raises(ValueError, match="base system"):
+        lattice_points(lengths, UnitVector((0, 1)), 3)
+
+
+def test_lattice_points_reject_int64_overflow():
+    big = 2**31 - 1  # the largest unit exponent a UnitVector takes
+    spec = FeatureSpec(
+        (FeatureDef("a", UnitVector((big, 1, 0))), FeatureDef("b", UnitVector((1, big, 0)))),
+        MECH,
+    )
+    with pytest.raises(ValueError, match="int64"):
+        lattice_points(spec, UnitVector((0, 0, 0)), 2)
 
 
 def test_degree_conventions(pend_spec):

@@ -14,6 +14,7 @@ from pireg.sims import (
     PLANCK_SYSTEM,
     RIETKERK_SYSTEM,
     VEGETATION_UNITS,
+    EulerUnstable,
     GridScale,
     InsufficientSurvivors,
     NonPositiveMass,
@@ -253,7 +254,9 @@ def test_rietkerk_fields_stay_nonnegative():
 
 
 def test_rietkerk_blowup_on_coarse_time_step():
-    params = RietkerkParams(dt=50.0, T=500.0)
+    # no diffusion, so the Euler stability check passes and the reaction
+    # terms overshoot below zero
+    params = RietkerkParams(dt=50.0, T=500.0, D_u=0.0, D_w=0.0, D_v=0.0)
     init = RietkerkState(
         np.random.default_rng(1).uniform(0.5, 5.0, (8, 8)),
         np.full((8, 8), 2.0), np.full((8, 8), 3.0), dl=2.0,
@@ -399,15 +402,19 @@ def test_batch_bit_identical_to_roll_loop(n_runs, extinct, stop):
 
 
 def test_batch_blowup_reports_lowest_run_at_its_serial_step():
-    # run 1 is Euler-unstable (D_u dt / dl^2 = 0.5) from a nearly flat u, so
-    # its checkerboard mode needs a few steps to drive u negative; run 2
-    # (D_u dt / dl^2 = 2500) blows up at once, but a loop over runs in index
-    # order reaches run 1 first
+    # on flat fields an Euler step scales u's distance from its fixed point
+    # R / (alpha f), f = (v + k2 W0) / (v + k2), by 1 - dt alpha f.  Run 1
+    # sets that factor to -1.2 and starts at half the fixed point, so u
+    # needs a few steps to overshoot below zero; run 2 (alpha = 1e6) blows
+    # up at once, but a loop over runs in index order reaches run 1 first
     params, inits = varied_runs(3, seed=4)
-    params[1] = replace(params[1], D_u=400.0)
-    params[2] = replace(params[2], D_u=2e6)
-    board = np.indices(inits[1].u.shape).sum(axis=0) % 2
-    inits[1] = replace(inits[1], u=2.0 + 1e-3 * board)
+    p, v0 = params[1], 2.0
+    f = (v0 + p.k2 * p.W0) / (v0 + p.k2)
+    params[1] = replace(p, alpha=2.2 / (p.dt * f))
+    shape = inits[1].u.shape
+    inits[1] = replace(inits[1], u=np.full(shape, 0.5 * p.R / (params[1].alpha * f)),
+                       v=np.full(shape, v0))
+    params[2] = replace(params[2], alpha=1e6)
     steps = []
     for p, init in zip(params[1:], inits[1:]):
         with pytest.raises(NumericalBlowup) as serial:
@@ -419,6 +426,24 @@ def test_batch_blowup_reports_lowest_run_at_its_serial_step():
         with pytest.raises(NumericalBlowup, match=r"\brun 1\b") as batched:
             integrate_rietkerk_batch(params, inits, stop_on_extinction=stop)
         assert batched.value.step == steps[0] and batched.value.run == 1
+
+
+def test_batch_rejects_euler_unstable_diffusion():
+    # D dt / dl^2 <= 1/4 is explicit Euler's stability limit with the
+    # 5-point Laplacian; draws at the default dt and dl reach at most
+    # 1.5 * 100 * 0.005 / 2^2 = 0.1875
+    params, inits = varied_runs(3)
+    for name in ("D_u", "D_w", "D_v"):
+        unstable = params[:2] + [replace(params[2], **{name: 250.0})]
+        with pytest.raises(EulerUnstable, match=r"\brun 2\b.*0\.3125") as err:
+            integrate_rietkerk_batch(unstable, inits)
+        assert isinstance(err.value, ValueError)
+        assert err.value.run == 2 and err.value.value == 0.3125
+    with pytest.raises(EulerUnstable, match=r"\brun 0\b"):
+        integrate_rietkerk(RietkerkParams(dt=50.0, T=500.0), inits[0])
+    at_limit = params[:2] + [replace(params[2], D_u=200.0)]
+    runs = integrate_rietkerk_batch(at_limit, inits)
+    assert runs[2].steps == 200
 
 
 def test_batch_rejects_mixed_integration_settings():
@@ -506,13 +531,28 @@ def test_rietkerk_experiment_blowup_names_the_draw(monkeypatch, max_batch):
 
     def unstable_fifth_draw(seed, run_idx, scale):
         params, init = draw(seed, run_idx, scale)
-        return (replace(params, D_u=2e6) if run_idx == 4 else params), init
+        return (replace(params, alpha=1e6) if run_idx == 4 else params), init
 
     monkeypatch.setattr(sims, "_rietkerk_draw", unstable_fifth_draw)
     monkeypatch.setattr(sims, "_MAX_BATCH", max_batch)
     with pytest.raises(NumericalBlowup, match=r"\brun 4\b") as err:
         rietkerk_experiment(3, 2, seed=5, scale=TINY)
     assert err.value.run == 4 and err.value.step == 0
+
+
+@pytest.mark.parametrize("max_batch", [3, 8])
+def test_rietkerk_experiment_instability_names_the_draw(monkeypatch, max_batch):
+    draw = sims._rietkerk_draw
+
+    def unstable_fifth_draw(seed, run_idx, scale):
+        params, init = draw(seed, run_idx, scale)
+        return (replace(params, D_v=250.0) if run_idx == 4 else params), init
+
+    monkeypatch.setattr(sims, "_rietkerk_draw", unstable_fifth_draw)
+    monkeypatch.setattr(sims, "_MAX_BATCH", max_batch)
+    with pytest.raises(EulerUnstable, match=r"\brun 4\b") as err:
+        rietkerk_experiment(3, 2, seed=5, scale=TINY)
+    assert err.value.run == 4 and err.value.value == 0.3125
 
 
 def test_rietkerk_experiment_insufficient_survivors():
