@@ -35,6 +35,7 @@ from .pi import (
     FeatureSpec,
     Monomial,
     apply_decoder,
+    build_design_matrix,
     decoder_solutions,
     degree,
     dimensionless_basis,
@@ -46,9 +47,9 @@ from .pi import (
     total_degree,
 )
 from .regress import (
+    DataError,
     Dataset,
     RegressionModel,
-    build_design_matrix,
     dimensionless_loss,
     ensemble_predict,
     fit_lasso,

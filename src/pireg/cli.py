@@ -19,16 +19,13 @@ import numpy as np
 from . import pi, regress, sims
 from .intlinalg import solve_diophantine
 from .pi import FeatureSpec, Monomial, SCHEMA_VERSION
+from .regress import DataError
 from .units import UnitError
 
 EXIT_OK = 0
 EXIT_SPEC = 2
 EXIT_DATA = 3
 EXIT_NOCONV = 4
-
-
-class DataError(Exception):
-    pass
 
 
 def load_spec_file(path):
@@ -541,15 +538,13 @@ def main(argv=None) -> int:
     except (UnitError, pi.EnumerationTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SPEC
+    # ahead of ValueError, which DataError subclasses
+    except (DataError, OSError, ArithmeticError, sims.InsufficientSurvivors) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_DATA
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SPEC
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ArithmeticError, sims.InsufficientSurvivors) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

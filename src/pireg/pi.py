@@ -237,14 +237,9 @@ def parse_monomial(expr: str, spec: FeatureSpec) -> Monomial:
 # evaluation
 
 def _int_pow(base, n: int):
-    """Exponentiation by squaring with an integer power.
-
-    Works elementwise on numpy arrays as well as floats, with the identical
-    multiplication sequence, so column-wise and row-wise evaluation of a
-    design matrix agree bit for bit.
-    """
-    if n == 0:
-        return base * 0.0 + 1.0
+    """base ** n for an integer n != 0 by repeated squaring (1 / base first
+    when n < 0), elementwise on arrays as on floats: the multiplication
+    sequence depends on n alone."""
     if n < 0:
         base = 1.0 / base
         n = -n
@@ -258,42 +253,67 @@ def _int_pow(base, n: int):
         base = base * base
 
 
-def evaluate_monomial(m: Monomial, x: Sequence[float]) -> float:
-    """coeff * prod x_i^e_i; PoleAtZero on 0^negative, NonFinite on overflow."""
-    if len(x) != len(m.exps):
-        raise ValueError(f"value vector of length {len(x)} vs {len(m.exps)} exponents")
-    for i, e in enumerate(m.exps):
-        if e < 0 and x[i] == 0.0:
-            raise PoleAtZero(i)
-    result = m.coeff
-    for i, e in enumerate(m.exps):
-        if e:
-            result = result * _int_pow(float(x[i]), e)
-    result = float(result)
-    if not math.isfinite(result):
-        raise NonFinite(f"monomial evaluation overflowed: exps={m.exps}")
-    return result
+# entries of the (p, rows) product a block of the fold works on: 512 KB,
+# so the product and its gathered factor stay in a 2 MB L2 cache
+_BLOCK_ENTRIES = 2**16
 
 
-def evaluate_monomial_rows(m: Monomial, rows: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate_monomial over the rows of an (N, d) array.
+def build_design_matrix(rows, monomials: Sequence[Monomial]) -> np.ndarray:
+    """(N, p) C-contiguous matrix X[t, j] = coeff_j * prod_i rows[t, i] ** exps_j[i].
 
-    Same operation order as the scalar path, so entries match exactly.
+    A fold over the features, block by block of rows: each distinct nonzero
+    power of a feature column is computed once (_int_pow) and multiplied, in
+    feature order, into the monomials that use it; exponent 0 multiplies by
+    an exact 1.0.  So an entry does not depend on N or on the other
+    monomials, and a one-row call equals a row of a batch bit for bit.
+
+    The first failing monomial raises PoleAtZero (at its first feature with
+    a negative exponent and a zero value) or else NonFinite (at its first
+    non-finite row).  ValueError unless rows is 2-D and every exps has d
+    entries.
     """
     rows = np.asarray(rows, dtype=float)
-    for i, e in enumerate(m.exps):
-        if e < 0 and np.any(rows[:, i] == 0.0):
-            raise PoleAtZero(i)
-    result = np.full(rows.shape[0], m.coeff, dtype=float)
-    for i, e in enumerate(m.exps):
-        if e:
-            result = result * _int_pow(rows[:, i], e)
-    bad = ~np.isfinite(result)
-    if np.any(bad):
+    if rows.ndim != 2:
+        raise ValueError("rows must be 2-D")
+    n, d = rows.shape
+    p = len(monomials)
+    exps = np.array([m.exps for m in monomials] or np.zeros((0, d)), dtype=np.int64)
+    if exps.shape != (p, d):
+        raise ValueError(f"monomials have {exps.shape[1]} exponents, rows have {d} features")
+    coeffs = np.array([m.coeff for m in monomials], dtype=float)[:, None]
+    folds = [(i, *np.unique(exps[:, i], return_inverse=True)) for i in range(d) if exps[:, i].any()]
+    step = max(1, _BLOCK_ENTRIES // max(p, 1))
+    X = np.empty((n, p))
+    with np.errstate(all="ignore"):
+        for start in range(0, n, step):
+            block = rows[start:start + step]
+            product = np.repeat(coeffs, len(block), axis=1)
+            for i, powers, inverse in folds:
+                table = np.stack([_int_pow(block[:, i], int(e)) if e else np.ones(len(block))
+                                  for e in powers])
+                product *= table[inverse]
+            X[start:start + step] = product.T
+    pole = (exps < 0) & (rows == 0.0).any(axis=0)
+    bad = ~np.isfinite(X)
+    failed = pole.any(axis=1) | bad.any(axis=0)
+    if failed.any():
+        j = int(np.argmax(failed))
+        if pole[j].any():
+            raise PoleAtZero(int(np.argmax(pole[j])))
         raise NonFinite(
-            f"monomial evaluation overflowed at row {int(np.argmax(bad))}: exps={m.exps}"
+            f"monomial evaluation overflowed at row {int(np.argmax(bad[:, j]))}: "
+            f"exps={monomials[j].exps}"
         )
-    return result
+    return X
+
+
+def evaluate_monomial(m: Monomial, x: Sequence[float]) -> float:
+    """coeff * prod x_i^e_i at one point: the one-row build_design_matrix, so
+    it equals the matching design-matrix entry bit for bit.  ValueError on a
+    length mismatch, PoleAtZero on 0^negative, NonFinite on overflow."""
+    if len(x) != len(m.exps):
+        raise ValueError(f"value vector of length {len(x)} vs {len(m.exps)} exponents")
+    return float(build_design_matrix(np.asarray(x, dtype=float)[None, :], [m])[0, 0])
 
 
 # ---------------------------------------------------------------------------

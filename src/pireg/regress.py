@@ -25,7 +25,7 @@ from .pi import (
     FeatureSpec,
     Monomial,
     SCHEMA_VERSION,
-    evaluate_monomial_rows,
+    build_design_matrix,
     monomial_from_json_dict,
     monomial_to_json_dict,
     monomial_units,
@@ -39,6 +39,10 @@ from .units import (
     parse_unit,
     scale_factor,
 )
+
+
+class DataError(ValueError):
+    """A malformed data file or a non-finite value; the CLI exits 3 on it."""
 
 
 class RankDeficientWarning(UserWarning):
@@ -79,6 +83,13 @@ class Dataset:
             raise ValueError("one label per row required")
         if len(self.label_units) != self.spec.k:
             raise UnitMismatch(self.label_units, self.spec.system.names, "label units")
+        for values, columns in ((rows, self.spec.names()), (labels[:, None], ["label"])):
+            bad = ~np.isfinite(values)
+            if bad.any():
+                t, c = np.argwhere(bad)[0]
+                raise DataError(
+                    f"non-finite value {values[t, c]} at row {t}, column {columns[c]!r}"
+                )
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "label_values", labels)
 
@@ -118,19 +129,21 @@ def save_dataset_csv(data: Dataset, path) -> None:
 def load_dataset_csv(path, spec: FeatureSpec | None = None, system=None) -> Dataset:
     """Load a two-line-header CSV.  With a spec, names and units are checked
     against it; otherwise a default spec (weight 1, negatives allowed) is
-    built from the header and `system` must be given."""
+    built from the header and `system` must be given.  DataError for missing
+    header lines or data rows, a wrong row width, a non-numeric cell (named
+    by file line and column) and a non-finite value."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         try:
             names = next(r)
             unit_row = next(r)
         except StopIteration:
-            raise ValueError(f"{path}: missing the two header lines") from None
+            raise DataError(f"{path}: missing the two header lines") from None
         if len(unit_row) != len(names):
-            raise ValueError(f"{path}: header rows disagree in length")
+            raise DataError(f"{path}: header rows disagree in length")
         if not names or names[-1] != "label":
             raise ValueError(f"{path}: last column must be named `label`")
-        body = [row for row in r if row]
+        body = [(r.line_num, row) for row in r if row]
     feature_names = names[:-1]
     if spec is not None:
         sys_ = spec.system
@@ -151,23 +164,20 @@ def load_dataset_csv(path, spec: FeatureSpec | None = None, system=None) -> Data
         spec = FeatureSpec(
             tuple(FeatureDef(n, u) for n, u in zip(feature_names, units[:-1])), sys_
         )
-    values = np.array([[float(v) for v in row] for row in body], dtype=float)
-    if values.size == 0:
-        raise ValueError(f"{path}: no data rows")
-    if values.shape[1] != len(names):
-        raise ValueError(f"{path}: data width disagrees with header")
+    if not body:
+        raise DataError(f"{path}: no data rows")
+    values = np.empty((len(body), len(names)))
+    for t, (line, row) in enumerate(body):
+        if len(row) != len(names):
+            raise DataError(f"{path}: line {line} has {len(row)} cells, the header {len(names)}")
+        for c, text in enumerate(row):
+            try:
+                values[t, c] = float(text)
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {line}, column {names[c]!r}: {text!r} is not a number"
+                ) from None
     return Dataset(spec, values[:, :-1], values[:, -1], units[-1])
-
-
-def build_design_matrix(rows, monomials: Sequence[Monomial]) -> np.ndarray:
-    """(N, p) matrix with X[t, j] = evaluate_monomial(monomials[j], rows[t])."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("rows must be 2-D")
-    cols = [evaluate_monomial_rows(m, rows) for m in monomials]
-    if not cols:
-        return np.empty((rows.shape[0], 0))
-    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +363,7 @@ def predict_rows(model: RegressionModel, rows) -> np.ndarray:
     eta = X @ np.asarray(model.weights, dtype=float) + model.intercept
     if model.decoder is None:
         return eta
-    return eta * evaluate_monomial_rows(model.decoder, rows)
+    return eta * build_design_matrix(rows, [model.decoder])[:, 0]
 
 
 def predict(model: RegressionModel, x) -> Quantity:
@@ -433,7 +443,7 @@ def fit_monomial_model(
         dec_units = monomial_units(decoder, data.spec)
         if dec_units != data.label_units:
             raise UnitMismatch(dec_units, data.label_units, "decoder units")
-        dvals = evaluate_monomial_rows(decoder, data.rows)
+        dvals = build_design_matrix(data.rows, [decoder])[:, 0]
         if np.any(dvals == 0.0):
             raise ZeroScale("decoder evaluated to zero on a training row")
         eta = data.label_values / dvals
@@ -444,7 +454,7 @@ def fit_monomial_model(
         s_units = monomial_units(loss_scale, data.spec)
         if s_units != data.label_units:
             raise UnitMismatch(s_units, data.label_units, "loss scale units")
-        svals = evaluate_monomial_rows(loss_scale, data.rows)
+        svals = build_design_matrix(data.rows, [loss_scale])[:, 0]
         if np.any(svals == 0.0):
             raise ZeroScale("loss scale evaluated to zero on a training row")
         rw = dvals / svals
@@ -485,7 +495,7 @@ def dimensionless_mse(model: RegressionModel, data: Dataset, scale: Monomial) ->
     s_units = monomial_units(scale, data.spec)
     if s_units != data.label_units:
         raise UnitMismatch(s_units, data.label_units, "loss scale units")
-    svals = evaluate_monomial_rows(scale, data.rows)
+    svals = build_design_matrix(data.rows, [scale])[:, 0]
     if np.any(svals == 0.0):
         raise ZeroScale("loss scale evaluated to zero")
     resid = (predict_rows(model, data.rows) - data.label_values) / svals

@@ -56,7 +56,7 @@ def pendulum_runs():
     ols = regress.fit_monomial_model(train, features, decoder, method="ols")
 
     X_small = regress.build_design_matrix(small.rows, features)
-    eta_small = small.label_values / pi.evaluate_monomial_rows(decoder, small.rows)
+    eta_small = small.label_values / regress.build_design_matrix(small.rows, [decoder])[:, 0]
     lam_max = regress.lasso_lambda_max(X_small, eta_small)
     lassos = {}
     for frac in LASSO_LAMBDA_FRACTIONS:

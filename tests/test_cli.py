@@ -290,6 +290,37 @@ def test_regress_data_errors(pendulum_csvs, tmp_path):
                  "--features", "garbage"]) == 3
 
 
+def edit_cell(line, col, text):
+    cells = line.split(",")
+    cells[col] = text
+    return ",".join(cells)
+
+
+# each edit of the training CSV's lines (two header lines, then rows) and the
+# error it must give: format errors name the file and its line, non-finite
+# values the data row and column
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:2], "train.csv: no data rows"),
+    (lambda lines: lines[:4] + [edit_cell(lines[4], 0, "two")] + lines[5:],
+     "train.csv: line 5, column 'm': 'two' is not a number"),
+    (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
+     "train.csv: line 4 has 9 cells, the header 10"),
+    (lambda lines: lines[:2] + [edit_cell(lines[2], 2, "nan")] + lines[3:],
+     "non-finite value nan at row 0, column 'L'"),
+    (lambda lines: lines[:3] + [edit_cell(lines[3], -1, "inf")] + lines[4:],
+     "non-finite value inf at row 1, column 'label'"),
+], ids=["no-rows", "non-numeric", "width", "nan-feature", "inf-label"])
+def test_regress_data_file_errors_exit_3(pendulum_csvs, tmp_path, capsys, edit, message):
+    lines = Path(pendulum_csvs["train"]).read_text().splitlines()
+    assert lines[0].split(",")[:3] == ["m", "k_s", "L"] and len(lines[0].split(",")) == 10
+    bad = tmp_path / "train.csv"
+    bad.write_text("\n".join(edit(lines)) + "\n")
+    rc = main(["regress", str(bad), "--spec", pendulum_csvs["spec"],
+               "--features", "enumerate:2", "--decoder", "expr:k_s L^2"])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+
+
 def test_regress_units_mismatch_is_spec_error(pendulum_csvs, tmp_path):
     text = Path(pendulum_csvs["train"]).read_text()
     bad = tmp_path / "bad.csv"

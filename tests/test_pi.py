@@ -14,12 +14,12 @@ from pireg.pi import (
     NonFinite,
     PoleAtZero,
     apply_decoder,
+    build_design_matrix,
     decoder_solutions,
     degree,
     dimensionless_basis,
     enumerate_monomials,
     evaluate_monomial,
-    evaluate_monomial_rows,
     format_monomial,
     lattice_points,
     load_monomials,
@@ -341,7 +341,7 @@ def test_evaluate_pole_at_zero():
     with pytest.raises(PoleAtZero):
         evaluate_monomial(m, [1.0, 1.0, 1.0, 0.0])
     with pytest.raises(PoleAtZero):
-        evaluate_monomial_rows(m, np.array([[1.0, 1, 1, 2], [1.0, 1, 1, 0]]))
+        build_design_matrix(np.array([[1.0, 1, 1, 2], [1.0, 1, 1, 0]]), [m])
 
 
 def test_evaluate_overflow_is_loud():
@@ -353,10 +353,11 @@ def test_evaluate_overflow_is_loud():
 def test_row_and_scalar_evaluation_agree_exactly(pend_spec):
     rng = np.random.default_rng(3)
     rows = rng.uniform(0.5, 2.0, size=(16, pend_spec.d))
-    for m in enumerate_monomials(pend_spec, 2, dimensionless_only=True)[::23]:
-        col = evaluate_monomial_rows(m, rows)
+    monos = enumerate_monomials(pend_spec, 2, dimensionless_only=True)[::23]
+    X = build_design_matrix(rows, monos)
+    for j, m in enumerate(monos):
         for i in range(rows.shape[0]):
-            assert col[i] == evaluate_monomial(m, rows[i])
+            assert X[i, j] == evaluate_monomial(m, rows[i])
 
 
 def test_dimensionless_invariance_under_rescaling(pend_spec):

@@ -8,12 +8,16 @@ from pireg.pi import (
     FeatureDef,
     FeatureSpec,
     Monomial,
+    NonFinite,
+    PoleAtZero,
     enumerate_monomials,
     monomial_units,
     parse_monomial,
+    sample_dimensional_monomials,
 )
 from pireg.regress import (
     BothZero,
+    DataError,
     Dataset,
     EmptyEnsemble,
     LassoConvergenceWarning,
@@ -40,7 +44,14 @@ from pireg.regress import (
     soft_threshold,
     state_relative_error,
 )
-from pireg.sims import hamiltonian, sample_pendulum_dataset
+from pireg.sims import (
+    GridScale,
+    _rietkerk_draw,
+    hamiltonian,
+    rietkerk_spec,
+    rietkerk_table_features,
+    sample_pendulum_dataset,
+)
 from pireg.units import (
     GroupElement,
     Quantity,
@@ -98,6 +109,140 @@ def test_design_matrix_worked_entry():
 def test_design_matrix_empty_monomial_list():
     X = build_design_matrix(np.ones((5, 4)), [])
     assert X.shape == (5, 0)
+
+
+def oracle_int_pow(base, n):
+    if n < 0:
+        base = 1.0 / base
+        n = -n
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
+
+
+def column_loop_oracle(rows, monomials):
+    """The per-column evaluator build_design_matrix replaced, frozen: one
+    column per monomial, a pole check per feature, then the product over the
+    features it uses in feature order, then a finiteness check."""
+    rows = np.asarray(rows, dtype=float)
+    cols = []
+    for m in monomials:
+        for i, e in enumerate(m.exps):
+            if e < 0 and np.any(rows[:, i] == 0.0):
+                raise PoleAtZero(i)
+        result = np.full(rows.shape[0], m.coeff, dtype=float)
+        for i, e in enumerate(m.exps):
+            if e:
+                result = result * oracle_int_pow(rows[:, i], e)
+        bad = ~np.isfinite(result)
+        if np.any(bad):
+            raise NonFinite(
+                f"monomial evaluation overflowed at row {int(np.argmax(bad))}: exps={m.exps}"
+            )
+        cols.append(result)
+    if not cols:
+        return np.empty((rows.shape[0], 0))
+    return np.column_stack(cols)
+
+
+def assert_matches_oracle(rows, monomials):
+    X = build_design_matrix(rows, monomials)
+    assert X.flags.c_contiguous
+    assert X.tobytes() == column_loop_oracle(rows, monomials).tobytes()
+
+
+@pytest.fixture(scope="module")
+def springy_sets():
+    data = sample_pendulum_dataset(2048, seed=4)
+    features = enumerate_monomials(data.spec, 2, dimensionless_only=True)
+    polluted = features + sample_dimensional_monomials(data.spec, 2, 500, seed=19)
+    assert (len(features), len(polluted)) == (286, 786)
+    return data.rows, features, polluted
+
+
+@pytest.mark.parametrize("n", [1, 100, 2048])
+def test_design_matrix_matches_column_loop_on_springy_sets(springy_sets, n):
+    rows, features, polluted = springy_sets
+    assert_matches_oracle(rows[:n], features)
+    assert_matches_oracle(rows[:n], polluted)
+
+
+def test_design_matrix_matches_column_loop_on_rietkerk_table():
+    spec = rietkerk_spec()
+    rows = np.array([_rietkerk_draw(7, i, GridScale.desk())[0].feature_row()
+                     for i in range(64)])
+    table = rietkerk_table_features()
+    feats = [Monomial.constant(spec.d)] + table + [
+        Monomial(tuple(-e for e in m.exps)) for m in table]
+    assert_matches_oracle(rows, feats)
+
+
+def test_design_matrix_matches_column_loop_on_negative_values(springy_sets):
+    rows, features, polluted = springy_sets
+    signs = np.random.default_rng(2).choice([-1.0, 1.0], size=(100, rows.shape[1]))
+    assert_matches_oracle(rows[:100] * signs, polluted)
+    assert_matches_oracle(-rows[:100], features)
+
+
+def test_design_matrix_matches_column_loop_with_coefficients(springy_sets):
+    rows, features, _ = springy_sets
+    coeffs = [-2.5, 0.1, 3.0, 0.0, 1e-300, -7.0]
+    monos = [Monomial(m.exps, coeffs[j % len(coeffs)]) for j, m in enumerate(features)]
+    assert_matches_oracle(rows[:100], monos)
+
+
+def test_design_matrix_ignores_inf_in_a_column_raised_to_zero(springy_sets):
+    rows, features, polluted = springy_sets
+    rows = rows[:100].copy()
+    rows[:, 0] = np.inf
+    # x^0 contributes an exact 1.0 and inf^-n is 0, so none of these fail
+    monos = [m for m in polluted if m.exps[0] <= 0]
+    assert any(m.exps[0] == 0 for m in monos) and any(m.exps[0] < 0 for m in monos)
+    assert_matches_oracle(rows, monos)
+    with pytest.raises(NonFinite):
+        build_design_matrix(rows, [m for m in features if m.exps[0] > 0][:1])
+
+
+def test_design_matrix_error_order_follows_monomials():
+    rows = np.array([[2.0, 1.0, 1.0, 1.0], [1e300, 0.0, 1.0, 1.0]])
+    overflow = Monomial((3, 0, 0, 0))
+    pole = Monomial((0, -1, 0, 0))
+    for monos, kind in [
+        ([overflow, pole], NonFinite),
+        ([pole, overflow], PoleAtZero),
+        ([Monomial((1, 0, 0, 0)), Monomial((3, -2, 0, 0))], PoleAtZero),
+    ]:
+        with pytest.raises(kind) as old, np.errstate(over="ignore"):
+            column_loop_oracle(rows, monos)
+        # the error is all a caller sees: no RuntimeWarning comes ahead of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(kind) as new:
+                build_design_matrix(rows, monos)
+        assert str(new.value) == str(old.value)
+        if kind is PoleAtZero:
+            assert new.value.feature_index == old.value.feature_index == 1
+        else:
+            assert "at row 1: exps=(3, 0, 0, 0)" in str(new.value)
+    # within one monomial the pole is reported ahead of the overflow
+    rows[1, 3] = 0.0
+    with pytest.raises(PoleAtZero) as err:
+        build_design_matrix(rows, [Monomial((3, 0, 0, -1))])
+    assert err.value.feature_index == 3
+
+
+def test_design_matrix_rejects_wrong_exponent_length():
+    rows = np.ones((3, 4))
+    for exps in [(1, 0, 0), (1, 0, 0, 0, 2)]:
+        with pytest.raises(ValueError, match="exponents"):
+            build_design_matrix(rows, [Monomial(exps)])
+        with pytest.raises(ValueError):
+            build_design_matrix(rows, [Monomial((0, 0, 0, 0)), Monomial(exps)])
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +403,18 @@ def test_dataset_csv_rejects_wrong_units(tmp_path):
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(UnitMismatch):
         load_dataset_csv(path, spec=data.spec)
+
+
+def test_dataset_rejects_non_finite_values():
+    data = small_dataset()
+    rows, labels = data.rows.copy(), data.label_values.copy()
+    rows[3, 2] = np.nan
+    with pytest.raises(DataError, match="non-finite value nan at row 3, column 'L'"):
+        Dataset(data.spec, rows, data.label_values, data.label_units)
+    labels[5] = -np.inf
+    with pytest.raises(DataError, match="non-finite value -inf at row 5, column 'label'"):
+        Dataset(data.spec, data.rows, labels, data.label_units)
+    assert issubclass(DataError, ValueError)
 
 
 def test_model_json_round_trip(tmp_path):
