@@ -36,6 +36,10 @@ from .units import (
 SCHEMA_VERSION = 1
 
 
+class DataError(ValueError):
+    """A malformed data file or a non-finite value; the CLI exits 3 on it."""
+
+
 class PoleAtZero(ArithmeticError):
     def __init__(self, feature_index, name=None):
         label = f"feature {feature_index}" if name is None else f"feature {name!r}"
@@ -512,7 +516,25 @@ def save_monomials(path, monomials: Iterable[Monomial], spec: FeatureSpec) -> No
         json.dump(payload, fh, indent=1)
 
 
-def load_monomials(path, spec: FeatureSpec) -> list[Monomial]:
+def read_json_file(path, parse):
+    """parse(payload) for the JSON object in the file at path.  DataError
+    naming the path for text that is not JSON (with the decoder's line and
+    column), a value that is not an object, or a key parse finds missing."""
     with open(path) as fh:
-        payload = json.load(fh)
-    return [monomial_from_json_dict(d, spec) for d in payload["monomials"]]
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: not a JSON object")
+    try:
+        return parse(payload)
+    except KeyError as e:
+        raise DataError(f"{path}: missing key {e}") from None
+
+
+def load_monomials(path, spec: FeatureSpec) -> list[Monomial]:
+    """The monomials save_monomials wrote; DataError as read_json_file."""
+    return read_json_file(
+        path, lambda payload: [monomial_from_json_dict(d, spec) for d in payload["monomials"]]
+    )

@@ -321,6 +321,20 @@ def test_regress_data_file_errors_exit_3(pendulum_csvs, tmp_path, capsys, edit, 
     assert message in capsys.readouterr().err
 
 
+# a --features file: that is not JSON, and JSON without the "monomials" key
+@pytest.mark.parametrize("text, message", [
+    ("monomials: none\n", "features.json: not valid JSON: Expecting value: line 1 column 1"),
+    ('{"feature_names": ["m"]}', "features.json: missing key 'monomials'"),
+], ids=["not-json", "missing-key"])
+def test_regress_features_file_errors_exit_3(pendulum_csvs, tmp_path, capsys, text, message):
+    bad = tmp_path / "features.json"
+    bad.write_text(text)
+    rc = main(["regress", pendulum_csvs["train"], "--spec", pendulum_csvs["spec"],
+               "--features", f"file:{bad}", "--decoder", "expr:k_s L^2"])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+
+
 def test_regress_units_mismatch_is_spec_error(pendulum_csvs, tmp_path):
     text = Path(pendulum_csvs["train"]).read_text()
     bad = tmp_path / "bad.csv"

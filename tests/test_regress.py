@@ -1,8 +1,11 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pireg.pi import (
     FeatureDef,
@@ -15,6 +18,7 @@ from pireg.pi import (
     parse_monomial,
     sample_dimensional_monomials,
 )
+from pireg import regress
 from pireg.regress import (
     BothZero,
     DataError,
@@ -48,6 +52,7 @@ from pireg.sims import (
     GridScale,
     _rietkerk_draw,
     hamiltonian,
+    pendulum_spec,
     rietkerk_spec,
     rietkerk_table_features,
     sample_pendulum_dataset,
@@ -360,11 +365,13 @@ def test_lasso_nonconvergence_warns_but_returns():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(40, 30))
     y = rng.normal(size=40)
-    with pytest.warns(LassoConvergenceWarning):
-        fit = fit_lasso(X, y, 1e-8, max_sweeps=2)
-    assert not fit.converged
-    assert fit.sweeps == 2
-    assert len(fit.objectives) == 2
+    for max_sweeps in (2, 40):
+        with pytest.warns(LassoConvergenceWarning):
+            fit = fit_lasso(X, y, 1e-8, max_sweeps=max_sweeps)
+        assert not fit.converged
+        assert fit.sweeps == max_sweeps
+        assert len(fit.objectives) == max_sweeps
+        assert fit.gap > 0.0
 
 
 def test_lasso_intercept_without_constant_column():
@@ -373,6 +380,103 @@ def test_lasso_intercept_without_constant_column():
     y = X @ np.array([1.0, 2.0, 0.0]) + 5.0
     fit = fit_lasso(X, y, 1e-6, max_sweeps=5000)
     assert math.isclose(fit.intercept, 5.0, rel_tol=1e-4)
+
+
+def cyclic_lasso_oracle(X, y, lam, max_sweeps=1000, tol=1e-10):
+    """The cyclic coordinate descent fit_lasso replaced, frozen: every sweep
+    updates every live column through the N-row residual.  Returns the
+    weights with the intercept folded as fit_lasso folds it, and whether the
+    fit converged."""
+    n, p = X.shape
+    mu = X.mean(axis=0)
+    sd = X.std(axis=0)
+    live = np.flatnonzero(sd > 0.0)
+    const_cols = np.flatnonzero(sd == 0.0)
+    Xs = (X[:, live] - mu[live]) / sd[live]
+    y_mean = float(y.mean())
+    r = y - y_mean
+    w_std = np.zeros(len(live))
+    converged = False
+    for _ in range(max_sweeps):
+        max_step = 0.0
+        for idx in range(len(live)):
+            old = w_std[idx]
+            new = soft_threshold(float(Xs[:, idx] @ r) / n + old, lam)
+            if new != old:
+                r -= (new - old) * Xs[:, idx]
+                w_std[idx] = new
+                max_step = max(max_step, abs(new - old))
+        if max_step <= tol:
+            converged = True
+            break
+    weights = np.zeros(p)
+    weights[live] = w_std / sd[live]
+    intercept = y_mean - float((w_std * (mu[live] / sd[live])).sum())
+    for j in const_cols:
+        if mu[j] != 0.0:
+            weights[j] = intercept / mu[j]
+            break
+    return weights, converged
+
+
+def springy_lasso_problems():
+    """(name, X, eta, lambda) of the two LASSO fits of the springy desk
+    experiment at seed 0 and of criterion 03's six lambda fractions."""
+    spec = pendulum_spec()
+    features = enumerate_monomials(spec, 2, dimensionless_only=True)
+    polluted = features + sample_dimensional_monomials(spec, 2, 500, seed=19)
+    decoder = parse_monomial("k_s L^2", spec)
+
+    def first_128(n_rows):
+        data = sample_pendulum_dataset(n_rows, 0)
+        rows = data.rows[:128]
+        return rows, data.label_values[:128] / build_design_matrix(rows, [decoder])[:, 0]
+
+    rows, eta = first_128(2048 + 512)
+    out = [(f"springy-{len(m)}", build_design_matrix(rows, m), eta, 1e-2)
+           for m in (features, polluted)]
+    rows, eta = first_128(8192 + 1024)
+    X = build_design_matrix(rows, features)
+    lmax = lasso_lambda_max(X, eta)
+    out += [(f"criterion-03@{f}", X, eta, f * lmax) for f in (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)]
+    return out
+
+
+def test_lasso_matches_cyclic_oracle_on_springy_fits():
+    for name, X, eta, lam in springy_lasso_problems():
+        fit = fit_lasso(X, eta, lam, max_sweeps=20000)
+        weights, converged = cyclic_lasso_oracle(X, eta, lam, max_sweeps=20000)
+        assert fit.converged and converged, name
+        assert set(np.flatnonzero(fit.weights)) == set(np.flatnonzero(weights)), name
+        assert np.max(np.abs(fit.weights - weights)) <= 1e-6 * np.max(np.abs(weights)), name
+
+
+@given(
+    n=st.integers(4, 40),
+    p=st.integers(1, 12),
+    frac=st.floats(0.02, 1.2),
+    seed=st.integers(0, 2**32 - 1),
+    constant=st.booleans(),
+)
+@settings(max_examples=60)
+def test_lasso_kkt_certificate(n, p, frac, seed, constant):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+    if constant:
+        X[:, 0] = 2.0
+    y = rng.normal(size=n) + 3.0
+    lam = frac * lasso_lambda_max(X, y)
+    fit = fit_lasso(X, y, lam, max_sweeps=100_000, tol=1e-12)
+    assert fit.converged
+    sd = X.std(axis=0)
+    live = sd > 0.0
+    Xs = (X[:, live] - X[:, live].mean(axis=0)) / sd[live]
+    w_std = fit.weights[live] * sd[live]
+    grad = Xs.T @ (y - y.mean() - Xs @ w_std) / n
+    on = w_std != 0.0
+    assert np.all(np.abs(grad[~on]) <= lam * (1 + 1e-9))
+    assert np.all(np.abs(grad[on] - lam * np.sign(w_std[on])) <= 1e-9 * max(lam, 1e-3))
+    assert fit.gap >= -1e-15 and fit.gap <= 1e-9 * max(fit.objectives[-1], 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +535,19 @@ def test_model_json_round_trip(tmp_path):
     assert predict(back, x).value == predict(model, x).value
 
 
+def test_load_model_file_errors(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(path, truth_model(small_dataset().spec))
+    payload = json.loads(path.read_text())
+    del payload["weights"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=r"model.json: missing key 'weights'"):
+        load_model(path)
+    path.write_text('{"weights": [1.0],')
+    with pytest.raises(DataError, match=r"model.json: not valid JSON: .* line 1 column 19"):
+        load_model(path)
+
+
 # ---------------------------------------------------------------------------
 # prediction and equivariance
 
@@ -472,6 +589,63 @@ def test_equivariance_residual_is_tiny_for_decoder_models():
     data = small_dataset(32, seed=13)
     model = truth_model(data.spec)
     assert equivariance_residual(model, data.rows, n_group=50, seed=1) <= 1e-10
+
+
+def per_group_equivariance_oracle(model, rows, n_group=100, seed=0, low=0.1, high=10.0):
+    """The per-group loop equivariance_residual replaced, frozen: one
+    predict_rows call on the rows and one on each rescaled copy."""
+    rows = np.asarray(rows, dtype=float)
+    rng = np.random.default_rng(seed)
+    U = np.array([f.units.exps for f in model.spec.features], dtype=float)
+    v = np.array(model.label_units.exps, dtype=float)
+    base = predict_rows(model, rows)
+    worst = 0.0
+    for _ in range(n_group):
+        g = rng.uniform(low, high, size=model.spec.k)
+        feat_scale = np.prod(g[None, :] ** (-U), axis=1)
+        label_scale = float(np.prod(g ** (-v)))
+        lhs = predict_rows(model, rows * feat_scale[None, :])
+        rhs = base * label_scale
+        denom = np.maximum(np.abs(lhs) + np.abs(rhs), 1e-300)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / denom)))
+    return worst
+
+
+def test_equivariance_residual_matches_per_group_oracle(monkeypatch):
+    data = sample_pendulum_dataset(2048 + 512, 0)
+    spec = data.spec
+    train = Dataset(spec, data.rows[:2048], data.label_values[:2048], data.label_units)
+    small = Dataset(spec, data.rows[:128], data.label_values[:128], data.label_units)
+    points = data.rows[2048:2148]
+    features = enumerate_monomials(spec, 2, dimensionless_only=True)
+    no_constant = [m for m in features if m != Monomial.constant(spec.d)]
+    assert len(no_constant) == 285
+    decoder = parse_monomial("k_s L^2", spec)
+    ols = fit_monomial_model(train, features, decoder)
+    lasso = fit_monomial_model(small, no_constant, decoder, method="lasso", lam=1e-2,
+                               max_sweeps=20000)
+    assert lasso.intercept != 0.0
+
+    rspec = rietkerk_spec()
+    rrows = np.array([_rietkerk_draw(5, i, GridScale.desk())[0].feature_row() for i in range(2)])
+    table = rietkerk_table_features()
+    dimless = [Monomial.constant(rspec.d)] + table + [Monomial(tuple(-e for e in m.exps))
+                                                      for m in table]
+    raw = [Monomial(tuple(int(i == j) for j in range(rspec.d))) for i in range(rspec.d)]
+    rng = np.random.default_rng(3)
+    k2 = parse_monomial("k2", rspec)
+    rietkerk = RegressionModel(rspec, tuple(dimless), tuple(rng.normal(size=len(dimless))),
+                               k2, monomial_units(k2, rspec))
+    baseline = RegressionModel(rspec, tuple(raw), tuple(rng.normal(size=len(raw))), None,
+                               monomial_units(k2, rspec), intercept=0.5)
+    for model, rows, seed in [(ols, points, 0), (lasso, points, 1), (rietkerk, rrows, 2),
+                              (baseline, rrows, 3)]:
+        assert equivariance_residual(model, rows, seed=seed) == per_group_equivariance_oracle(
+            model, rows, seed=seed)
+    assert per_group_equivariance_oracle(baseline, rrows, seed=3) > 1e-3
+    # stacks of at most 7 copies: 15 design-matrix calls, the last of 3 copies
+    monkeypatch.setattr(regress, "_STACK_ENTRIES", 7 * 100 * 286)
+    assert equivariance_residual(ols, points) == per_group_equivariance_oracle(ols, points)
 
 
 def test_ensemble_predict():
@@ -604,3 +778,4 @@ def test_fit_monomial_model_lasso_metadata():
     assert model.metadata["lambda"] == 0.05
     assert model.metadata["converged"]
     assert model.metadata["sweeps"] >= 1
+    assert 0.0 <= model.metadata["duality_gap"] <= 1e-9
