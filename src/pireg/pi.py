@@ -52,8 +52,8 @@ class NonFinite(ArithmeticError):
 
 
 class EnumerationTooLarge(ValueError):
-    def __init__(self, count, cap):
-        super().__init__(f"enumeration would sweep {count} candidates (cap {cap})")
+    def __init__(self, count, cap, what="candidates"):
+        super().__init__(f"enumeration would sweep {count} {what} (cap {cap})")
         self.count = count
         self.cap = cap
 
@@ -341,6 +341,13 @@ def _exponent_ranges(spec: FeatureSpec, max_degree: int) -> list[range]:
     return ranges
 
 
+# Most exponent entries (points x swept coordinates) one sweep may hold:
+# 256 MB as an int64 array, of which the sweep builds a few.  The largest
+# box a test or experiment sweeps, pendulum degree 2 without a unit target,
+# holds 1.7 M.
+_MAX_ENTRIES = 2**25
+
+
 def lattice_points(
     spec: FeatureSpec,
     target_units: UnitVector | None,
@@ -359,7 +366,9 @@ def lattice_points(
     as b^T adj(M) / det(M), and are kept when they land in range and the
     whole point carries the target units, which holds only where the
     division is exact and the target lies in U's row space.  Raises
-    EnumerationTooLarge when the swept box exceeds max_candidates points.
+    EnumerationTooLarge when the swept box exceeds max_candidates points, or
+    its points times the swept coordinates exceed _MAX_ENTRIES, before any
+    array is built.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -375,6 +384,8 @@ def lattice_points(
     count = math.prod(sizes)
     if count > max_candidates:
         raise EnumerationTooLarge(count, max_candidates)
+    if count * len(free) > _MAX_ENTRIES:
+        raise EnumerationTooLarge(count * len(free), _MAX_ENTRIES, "exponent entries")
     lo = np.array([ranges[i].start for i in free], dtype=np.int64)
     grid = np.indices(sizes, dtype=np.int64).reshape(len(free), count).T + lo
     if target_units is None:
@@ -413,7 +424,8 @@ def enumerate_monomials(
     the whole degree box, or with dimensionless_only over the units-matrix
     kernel, where only the d - rank(U) free exponents are swept (pendulum
     degree 4: 32,805 free points for 6,082 monomials, not a 23.9 M box).
-    Raises EnumerationTooLarge when the swept box exceeds max_candidates.
+    Raises EnumerationTooLarge when the swept box is too large (both caps are
+    described at lattice_points).
     """
     target = spec.system.zero() if dimensionless_only else None
     pts = lattice_points(spec, target, max_degree, max_candidates)
@@ -465,7 +477,7 @@ def decoder_solutions(
     sorted by (degree, total_degree, exponent tuple): the lattice_points
     solutions, so empty when no integer solution exists at all or none lands
     inside the degree ball.  EnumerationTooLarge when the free box of the
-    lattice solve exceeds max_candidates.
+    lattice solve is too large (both caps are described at lattice_points).
     """
     pts = lattice_points(spec, target_units, max_degree, max_candidates)
     mags = np.abs(pts)

@@ -282,7 +282,7 @@ def fit_lasso(
     adds those with |c_j - (Gw)_j| > lam.  The fit has converged after a
     sweep whose largest step is <= tol and that adds none, so the stopping
     rule is that of a full cyclic pass in which nothing moves more than tol.
-    `sweeps` counts sweeps and max_sweeps caps them.  Each update is the
+    `sweeps` counts sweeps and max_sweeps (at least 1) caps them.  Each update is the
     closed-form soft threshold, so the objective (standardized scale)
     recorded after every sweep never increases.  `gap` is the duality gap
     of the returned weights on the standardized problem (Fercoq, Gramfort &
@@ -295,6 +295,8 @@ def fit_lasso(
         raise ValueError("label vector length mismatch")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
     live = np.flatnonzero(sd > 0.0)

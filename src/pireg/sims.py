@@ -5,6 +5,7 @@ PDE, the black-body feature set, and double-pendulum unit checklists.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from itertools import combinations, product
 from pathlib import Path
@@ -27,6 +28,9 @@ class NumericalBlowup(ArithmeticError):
         self.step = step
         self.run = run
 
+    def __reduce__(self):
+        return type(self), (self.step, self.run)
+
 
 class InsufficientSurvivors(RuntimeError):
     pass
@@ -43,6 +47,9 @@ class EulerUnstable(ValueError):
         )
         self.run = run
         self.value = value
+
+    def __reduce__(self):
+        return type(self), (self.run, self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +369,11 @@ class _EulerBatch:
         x += rate
 
 
+def _diffusion_number(p: RietkerkParams, dl: float) -> float:
+    """max(D_u, D_w, D_v) dt / dl^2, at most 1/4 for a stable Euler step."""
+    return max(p.D_u, p.D_w, p.D_v) * p.dt * (1.0 / (dl * dl))
+
+
 def _finished_run(fields, slot, dl, steps, dt, extinction_step) -> RietkerkRun:
     u, w, v = (f.copy() for f in fields[:, slot])
     return RietkerkRun(RietkerkState(u, w, v, dl, steps * dt), steps, extinction_step)
@@ -399,7 +411,7 @@ def integrate_rietkerk_batch(
             raise ValueError("runs in one batch must share dt and T")
         if s.dl != dl or not (s.u.shape == s.w.shape == s.v.shape == shape):
             raise ValueError("runs in one batch must share the grid spacing and shape")
-        diffusion_number = max(p.D_u, p.D_w, p.D_v) * dt * inv_dl2
+        diffusion_number = _diffusion_number(p, dl)
         if not diffusion_number <= 0.25:
             raise EulerUnstable(run, diffusion_number)
     n_steps = int(round(T / dt))
@@ -538,11 +550,50 @@ def _rietkerk_draw(seed: int, run_idx: int, scale: GridScale):
     return params, random_rietkerk_state(scale.n_cells, params.dl, rng)
 
 
-# Most runs rietkerk_experiment integrates together.  Median cost per
-# run-step on a 50 x 50 grid (numpy 2.4, 2-vCPU Xeon, 2 MB L2 per core):
-# 130 us at B = 1, 105 us at B = 3-6, 100 us at B = 8, 125 us at B = 16,
-# where the batch's buffers outgrow the cache.
+# Most draws one chunk of rietkerk_experiment integrates together.  Median
+# cost per run-step on a 50 x 50 grid (numpy 2.4, 2-vCPU Xeon, 2 MB L2 per
+# core): 130 us at B = 1, 105 us at B = 3-6, 100 us at B = 8, 125 us at
+# B = 16, where the batch's buffers outgrow the cache.
 _MAX_BATCH = 8
+
+
+def _usable_cores() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _integrate_chunk(seed: int, start: int, size: int,
+                     scale: GridScale) -> list[float | None]:
+    """Mean vegetation at the horizon of draws start .. start + size - 1 of
+    experiment `seed`, None for a draw that goes extinct.  A NumericalBlowup
+    names the draw's index in the experiment."""
+    draws = [_rietkerk_draw(seed, i, scale) for i in range(start, start + size)]
+    try:
+        runs = integrate_rietkerk_batch(
+            [params for params, _ in draws], [init for _, init in draws],
+            stop_on_extinction=True,
+        )
+    except NumericalBlowup as e:
+        raise NumericalBlowup(e.step, run=start + e.run) from None
+    return [None if run.extinct else float(run.state.v.mean()) for run in runs]
+
+
+class _CallingProcess:
+    """The executor of a one-worker experiment: each chunk runs in the
+    calling process when it is submitted."""
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
 
 @dataclass
@@ -563,39 +614,96 @@ def rietkerk_experiment(
     default; integration parameters fixed by the scale), integrate each, and
     label with mean vegetation at the horizon.
 
-    Draws are consumed in index order, batch by batch: each batch holds the
-    next min(survivors still wanted, draws left, 8) draws, so exactly the
-    draws up to the one that completes both splits are integrated, and the
-    results are those of integrating the draws one at a time.  Extinct runs
-    are excluded from both splits (train first, then test) and counted in
-    the metadata.  Raises InsufficientSurvivors if max_runs (default 3x the
-    requested total) integrations cannot fill both splits.
+    Draws are integrated in chunks of consecutive draws, one chunk per
+    worker process, with one worker per usable CPU.  A free worker takes the
+    next min(8, draws left, ceil(deficit / free workers)) draws, where the
+    deficit is the number of survivors still wanted less the survivors
+    integrated but not yet consumed and the draws still running.  So the
+    draws that might still survive never outnumber the survivors wanted,
+    and exactly the draws up to the one that completes both splits are
+    integrated.  Chunks are consumed in draw order, and a run's fields do
+    not depend on its chunk, so the splits, n_runs and every error are
+    those of integrating the draws one at a time, at any worker count.
+    Extinct runs are excluded from both splits (train first, then test) and
+    counted in the metadata.
+
+    Each draw passes the Euler stability check before it is dispatched, and
+    no draw after one that fails is dispatched, so the lowest-index draw
+    that fails raises: EulerUnstable, or NumericalBlowup after the draws
+    before it are consumed.  Raises InsufficientSurvivors if max_runs
+    (default 3x the requested total) integrations cannot fill both splits.
+
+    The workers are forked, so they start without importing anything; with
+    one usable CPU, or no fork on the platform, the chunks run in the
+    calling process.  A worker calls no BLAS routine, so the fork is safe
+    where a BLAS library has started threads, although Python 3.12 and
+    later then emit a DeprecationWarning at the fork.
     """
+    # imported here, so the other commands do not load them
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     want = n_train + n_test
     if max_runs is None:
         max_runs = 3 * want
     spec = rietkerk_spec()
+    workers = _usable_cores()
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    else:
+        workers, pool = 1, _CallingProcess()
+    params = []  # of the draws dispatched so far, in draw order
+    running = {}  # future -> first draw of its chunk
+    finished = {}  # first draw -> future of a finished chunk not yet consumed
+    unstable = None  # EulerUnstable of the draw that stops the dispatch
+    failed = False  # a finished chunk raised
+    open_draws = 0  # dispatched, not consumed, and not known to be extinct
     rows, labels = [], []
-    n_runs = n_extinct = 0
-    while len(rows) < want and n_runs < max_runs:
-        size = min(want - len(rows), max_runs - n_runs, _MAX_BATCH)
-        draws = [_rietkerk_draw(seed, i, scale) for i in range(n_runs, n_runs + size)]
-        try:
-            runs = integrate_rietkerk_batch(
-                [params for params, _ in draws], [init for _, init in draws],
-                stop_on_extinction=True,
-            )
-        except NumericalBlowup as e:
-            raise NumericalBlowup(e.step, run=n_runs + e.run) from None
-        except EulerUnstable as e:
-            raise EulerUnstable(n_runs + e.run, e.value) from None
-        n_runs += size
-        for (params, _), run in zip(draws, runs):
-            if run.extinct:
-                n_extinct += 1
-            else:
-                rows.append(params.feature_row())
-                labels.append(float(run.state.v.mean()))
+    n_runs = n_extinct = 0  # draws consumed
+    try:
+        while len(rows) < want and n_runs < max_runs:
+            if n_runs in finished:
+                for label in finished.pop(n_runs).result():
+                    if label is None:
+                        n_extinct += 1
+                    else:
+                        rows.append(params[n_runs].feature_row())
+                        labels.append(label)
+                        open_draws -= 1
+                    n_runs += 1
+                continue
+            if unstable is not None and unstable.run == n_runs:
+                raise unstable
+            free = workers - len(running)
+            while free and unstable is None and not failed:
+                deficit = want - len(rows) - open_draws
+                size = min(_MAX_BATCH, max_runs - len(params), -(-deficit // free))
+                if size <= 0:
+                    break
+                start = len(params)
+                for i in range(start, start + size):
+                    p = _rietkerk_draw(seed, i, scale)[0]
+                    number = _diffusion_number(p, p.dl)
+                    if not number <= 0.25:
+                        unstable = EulerUnstable(i, number)
+                        break
+                    params.append(p)
+                if len(params) > start:
+                    future = pool.submit(_integrate_chunk, seed, start,
+                                         len(params) - start, scale)
+                    running[future] = start
+                    open_draws += len(params) - start
+                    free -= 1
+            if running:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    finished[running.pop(future)] = future
+                    if future.exception() is None:
+                        open_draws -= future.result().count(None)
+                    else:
+                        failed = True
+    finally:
+        pool.shutdown(cancel_futures=True)
     if len(rows) < want:
         raise InsufficientSurvivors(
             f"{len(rows)} surviving runs from {n_runs} integrations, need {want}"

@@ -119,6 +119,14 @@ def test_enumerate_too_large_is_spec_error(tmp_path, capsys):
         assert main(["enumerate", path, "--max-degree", str(2**63)] + flags) == 2
 
 
+def test_enumerate_rietkerk_full_box_is_spec_error(monkeypatch, capsys):
+    # 3^16 = 43 M points of 16 exponents: under the 10^8 point cap, but an
+    # int64 sweep of it would take 5.5 GB, so it stops before np.indices
+    monkeypatch.setattr(np, "indices", None)
+    assert main(["enumerate", str(SPECS / "rietkerk.json"), "--max-degree", "1"]) == 2
+    assert f"{3**16 * 16} exponent entries" in capsys.readouterr().err
+
+
 def test_enumerate_springy_degree_four(capsys):
     # the free box of the lattice solve is 32,805 points; the full degree
     # box, 9^6 * 3 * 5 * 3, would be 23.9 M

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pireg import pi
 from pireg.pi import (
     EnumerationTooLarge,
     FeatureDef,
@@ -144,6 +145,21 @@ def test_cap_counts_the_free_box(pend_spec):
     with pytest.raises(EnumerationTooLarge) as err:
         enumerate_monomials(pend_spec, 3, max_candidates=10**6)
     assert err.value.count == 7**6 * 2 * 3 * 2
+
+
+def test_cap_counts_exponent_entries(monkeypatch, pend_spec):
+    # pendulum degree 3: 4,116 free points of 6 swept exponents each
+    monkeypatch.setattr(pi, "_MAX_ENTRIES", 4116 * 6)
+    assert len(enumerate_monomials(pend_spec, 3, True)) == 919
+    monkeypatch.setattr(pi, "_MAX_ENTRIES", 4116 * 6 - 1)
+    monkeypatch.setattr(np, "indices", None)  # raised before any array is built
+    with pytest.raises(EnumerationTooLarge, match="exponent entries") as err:
+        enumerate_monomials(pend_spec, 3, True)
+    assert err.value.count == 4116 * 6 and err.value.cap == 4116 * 6 - 1
+    # the full box holds 7^6 * 2 * 3 * 2 points of 9 exponents
+    with pytest.raises(EnumerationTooLarge) as err:
+        enumerate_monomials(pend_spec, 3)
+    assert err.value.count == 7**6 * 2 * 3 * 2 * 9
 
 
 def _box_ranges(spec, max_degree):

@@ -374,6 +374,12 @@ def test_lasso_nonconvergence_warns_but_returns():
         assert fit.gap > 0.0
 
 
+@pytest.mark.parametrize("max_sweeps", [0, -1])
+def test_lasso_rejects_max_sweeps_below_one(max_sweeps):
+    with pytest.raises(ValueError, match="max_sweeps"):
+        fit_lasso(np.eye(3), np.ones(3), 0.1, max_sweeps=max_sweeps)
+
+
 def test_lasso_intercept_without_constant_column():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(60, 3))

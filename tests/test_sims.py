@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -446,6 +447,14 @@ def test_batch_rejects_euler_unstable_diffusion():
     assert runs[2].steps == 200
 
 
+@pytest.mark.parametrize("err", [EulerUnstable(2, 0.3), NumericalBlowup(17, run=3)])
+def test_sims_errors_round_trip_through_pickle(err):
+    # errors cross the process boundary of rietkerk_experiment's workers
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is type(err) and str(back) == str(err)
+    assert vars(back) == vars(err)
+
+
 def test_batch_rejects_mixed_integration_settings():
     params, inits = varied_runs(2)
     for changed in ({"dt": 0.004}, {"T": 2.0}):
@@ -513,16 +522,72 @@ def draws_one_by_one():
 def test_rietkerk_experiment_consumes_draws_in_index_order(
     monkeypatch, draws_one_by_one, max_batch
 ):
+    draw = sims._rietkerk_draw
+    touched = []  # draws the calling process dispatches, or integrates itself
+
+    def recorded(seed, run_idx, scale):
+        touched.append(run_idx)
+        return draw(seed, run_idx, scale)
+
+    monkeypatch.setattr(sims, "_rietkerk_draw", recorded)
     monkeypatch.setattr(sims, "_MAX_BATCH", max_batch)
-    exp = rietkerk_experiment(3, 2, seed=1, scale=EXTINCT_SCALE)
     survivors = [i for i, d in enumerate(draws_one_by_one) if d is not None]
     assert survivors[:5] == [0, 1, 2, 4, 5]
-    assert exp.metadata["n_runs"] == 1 + survivors[4]
-    assert exp.metadata["n_extinct"] == 1
-    rows = np.vstack([exp.train.rows, exp.test.rows])
-    labels = np.concatenate([exp.train.label_values, exp.test.label_values])
-    assert np.array_equal(rows, [draws_one_by_one[i][0] for i in survivors[:5]])
-    assert np.array_equal(labels, [draws_one_by_one[i][1] for i in survivors[:5]])
+    for workers in (1, 2):
+        monkeypatch.setattr(sims, "_usable_cores", lambda: workers)
+        touched.clear()
+        exp = rietkerk_experiment(3, 2, seed=1, scale=EXTINCT_SCALE)
+        assert exp.metadata["n_runs"] == 1 + survivors[4]
+        assert exp.metadata["n_extinct"] == 1
+        # no draw at or past n_runs is ever dispatched
+        assert set(touched) == set(range(exp.metadata["n_runs"]))
+        rows = np.vstack([exp.train.rows, exp.test.rows])
+        labels = np.concatenate([exp.train.label_values, exp.test.label_values])
+        assert np.array_equal(rows, [draws_one_by_one[i][0] for i in survivors[:5]])
+        assert np.array_equal(labels, [draws_one_by_one[i][1] for i in survivors[:5]])
+
+
+def test_rietkerk_experiment_runs_in_process_without_fork(monkeypatch, draws_one_by_one):
+    import multiprocessing
+
+    chunk = sims._integrate_chunk
+    chunks = []
+
+    def recorded(seed, start, size, scale):
+        chunks.append((start, size))
+        return chunk(seed, start, size, scale)
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(sims, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(sims, "_integrate_chunk", recorded)
+    exp = rietkerk_experiment(3, 2, seed=1, scale=EXTINCT_SCALE)
+    assert chunks == [(0, 5), (5, 1)]  # the one-worker chunks, in this process
+    assert np.array_equal(exp.test.label_values, [draws_one_by_one[i][1] for i in (4, 5)])
+
+
+@pytest.mark.parametrize("max_batch", [1, 3, 8])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("blowup, unstable", [(1, 3), (3, 1)])
+def test_rietkerk_experiment_lowest_index_failure_wins(
+    monkeypatch, max_batch, workers, blowup, unstable
+):
+    draw = sims._rietkerk_draw
+
+    def failing_draws(seed, run_idx, scale):
+        params, init = draw(seed, run_idx, scale)
+        if run_idx == blowup:
+            params = replace(params, alpha=1e6)
+        elif run_idx == unstable:
+            params = replace(params, D_v=250.0)
+        return params, init
+
+    monkeypatch.setattr(sims, "_rietkerk_draw", failing_draws)
+    monkeypatch.setattr(sims, "_MAX_BATCH", max_batch)
+    monkeypatch.setattr(sims, "_usable_cores", lambda: workers)
+    expected = NumericalBlowup if blowup < unstable else EulerUnstable
+    with pytest.raises(expected, match=rf"\brun {min(blowup, unstable)}\b") as err:
+        rietkerk_experiment(3, 2, seed=5, scale=TINY)
+    assert err.value.run == min(blowup, unstable)
 
 
 @pytest.mark.parametrize("max_batch", [3, 8])
