@@ -34,6 +34,7 @@ from .pi import (
     FeatureDef,
     FeatureSpec,
     Monomial,
+    MonomialSet,
     apply_decoder,
     build_design_matrix,
     decoder_solutions,
@@ -50,15 +51,12 @@ from .regress import (
     DataError,
     Dataset,
     RegressionModel,
-    dimensionless_loss,
-    ensemble_predict,
     fit_lasso,
     fit_monomial_model,
     fit_ols,
     load_dataset_csv,
     predict,
     save_dataset_csv,
-    state_relative_error,
 )
 
 __version__ = "0.1.0"

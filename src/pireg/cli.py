@@ -18,7 +18,7 @@ import numpy as np
 
 from . import pi, regress, sims
 from .intlinalg import solve_diophantine
-from .pi import FeatureSpec, Monomial, SCHEMA_VERSION
+from .pi import FeatureSpec, Monomial, MonomialSet, SCHEMA_VERSION
 from .regress import DataError
 from .units import UnitError
 
@@ -100,7 +100,7 @@ def cmd_enumerate(args, config) -> int:
     return EXIT_OK
 
 
-def _resolve_features(arg: str, spec: FeatureSpec) -> list[Monomial]:
+def _resolve_features(arg: str, spec: FeatureSpec) -> MonomialSet:
     if arg == "basis":
         # constant first so a full-rank spec (empty basis) still fits C * D(x)
         return [Monomial.constant(spec.d)] + pi.dimensionless_basis(spec)
@@ -124,7 +124,7 @@ def _resolve_decoders(arg: str, spec, label_units, max_degree) -> list[Monomial]
     if arg == "auto":
         return [sols[0]]
     if arg == "ensemble":
-        return sols
+        return list(sols)
     if arg.startswith("index:"):
         i = int(arg.split(":", 1)[1])
         if not 0 <= i < len(sols):
@@ -331,12 +331,10 @@ def run_blackbody(seed: int, scale: str, out_dir) -> dict:
     return results
 
 
-def _with_inverses(monomials: list[Monomial]) -> list[Monomial]:
-    out = []
-    for m in monomials:
-        out.append(m)
-        out.append(Monomial(tuple(-e for e in m.exps)))
-    return out
+def _with_inverses(monomials: MonomialSet) -> MonomialSet:
+    """Each monomial followed by its inverse, all with coefficient 1."""
+    E = monomials.exps
+    return MonomialSet(np.stack([E, -E], axis=1).reshape(-1, monomials.d))
 
 
 def run_rietkerk(seed: int, scale: str, out_dir,
@@ -363,7 +361,7 @@ def run_rietkerk(seed: int, scale: str, out_dir,
             exp.train, dimless_feats, decoder, method="ols",
             metadata={"seed": seed, "scale": scale},
         )
-        raw = [Monomial(tuple(1 if j == i else 0 for j in range(spec.d))) for i in range(spec.d)]
+        raw = MonomialSet(np.eye(spec.d, dtype=np.int64))
         baseline_feats = [const] + _with_inverses(raw)
         baseline = regress.fit_monomial_model(
             exp.train, baseline_feats, None, method="ols",

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -183,6 +184,79 @@ class Monomial:
         return self.coeff == 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class MonomialSet:
+    """p monomials over d features: read-only copies of a (p, d) int64
+    exponent array and a (p,) float64 coefficient array (default all 1).
+
+    len, iteration and integer indexing give Monomial values; slicing and +
+    (also with a sequence of Monomial on either side) give sets; == compares
+    element by element with a set or a list or tuple of Monomial.
+    """
+
+    exps: np.ndarray
+    coeffs: np.ndarray | None = None
+
+    def __post_init__(self):
+        exps = np.asarray(self.exps)
+        if exps.ndim != 2 or exps.dtype.kind not in "iu":
+            raise ValueError(f"exponents must be 2-D integers, not {exps.dtype} {exps.shape}")
+        exps = exps.astype(np.int64)
+        coeffs = np.ones(len(exps)) if self.coeffs is None else np.array(self.coeffs, dtype=float)
+        if coeffs.shape != (len(exps),):
+            raise ValueError(f"{len(exps)} monomials but coefficients of shape {coeffs.shape}")
+        exps.flags.writeable = coeffs.flags.writeable = False
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def d(self) -> int:
+        return self.exps.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.exps)
+
+    def __iter__(self):
+        for exps, coeff in zip(self.exps.tolist(), self.coeffs.tolist()):
+            yield Monomial(tuple(exps), coeff)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return MonomialSet(self.exps[i], self.coeffs[i])
+        i = operator.index(i)
+        return Monomial(tuple(self.exps[i].tolist()), float(self.coeffs[i]))
+
+    def __add__(self, other) -> "MonomialSet":
+        other = as_monomial_set(other, self.d)
+        return MonomialSet(np.concatenate([self.exps, other.exps]),
+                           np.concatenate([self.coeffs, other.coeffs]))
+
+    def __radd__(self, other) -> "MonomialSet":
+        return as_monomial_set(other, self.d) + self
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        if not isinstance(other, MonomialSet):
+            return NotImplemented
+        return np.array_equal(self.exps, other.exps) and np.array_equal(self.coeffs, other.coeffs)
+
+
+def as_monomial_set(monomials, d: int) -> MonomialSet:
+    """monomials as a MonomialSet over d features, like np.asarray: a set
+    passes through and a sequence of Monomial is stacked.  ValueError
+    unless every monomial has d exponents."""
+    if not isinstance(monomials, MonomialSet):
+        monomials = list(monomials)
+        monomials = MonomialSet(
+            np.array([m.exps for m in monomials] or np.zeros((0, d)), dtype=np.int64),
+            [m.coeff for m in monomials],
+        )
+    if monomials.d != d:
+        raise ValueError(f"monomials have {monomials.d} exponents, expected {d}")
+    return monomials
+
+
 def total_degree(m: Monomial) -> int:
     return sum(abs(e) for e in m.exps)
 
@@ -192,12 +266,7 @@ def degree(m: Monomial, spec: FeatureSpec) -> int:
 
 
 def monomial_units(m: Monomial, spec: FeatureSpec) -> UnitVector:
-    total = [0] * spec.k
-    for e, f in zip(m.exps, spec.features):
-        if e:
-            for j, u in enumerate(f.units.exps):
-                total[j] += e * u
-    return UnitVector(tuple(total))
+    return UnitVector(tuple(_unit_rows(as_monomial_set([m], spec.d), spec)[0]))
 
 
 def format_monomial(m: Monomial, spec: FeatureSpec, with_coeff: bool = False) -> str:
@@ -262,7 +331,7 @@ def _int_pow(base, n: int):
 _BLOCK_ENTRIES = 2**16
 
 
-def build_design_matrix(rows, monomials: Sequence[Monomial]) -> np.ndarray:
+def build_design_matrix(rows, monomials: MonomialSet | Sequence[Monomial]) -> np.ndarray:
     """(N, p) C-contiguous matrix X[t, j] = coeff_j * prod_i rows[t, i] ** exps_j[i].
 
     A fold over the features, block by block of rows: each distinct nonzero
@@ -274,17 +343,15 @@ def build_design_matrix(rows, monomials: Sequence[Monomial]) -> np.ndarray:
     The first failing monomial raises PoleAtZero (at its first feature with
     a negative exponent and a zero value) or else NonFinite (at its first
     non-finite row).  ValueError unless rows is 2-D and every exps has d
-    entries.
+    entries.  A sequence of Monomial is stacked by as_monomial_set first.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("rows must be 2-D")
     n, d = rows.shape
-    p = len(monomials)
-    exps = np.array([m.exps for m in monomials] or np.zeros((0, d)), dtype=np.int64)
-    if exps.shape != (p, d):
-        raise ValueError(f"monomials have {exps.shape[1]} exponents, rows have {d} features")
-    coeffs = np.array([m.coeff for m in monomials], dtype=float)[:, None]
+    monomials = as_monomial_set(monomials, d)
+    exps, coeffs = monomials.exps, monomials.coeffs[:, None]
+    p = len(exps)
     folds = [(i, *np.unique(exps[:, i], return_inverse=True)) for i in range(d) if exps[:, i].any()]
     step = max(1, _BLOCK_ENTRIES // max(p, 1))
     X = np.empty((n, p))
@@ -323,13 +390,14 @@ def evaluate_monomial(m: Monomial, x: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 # lattice constructions
 
-def dimensionless_basis(spec: FeatureSpec) -> list[Monomial]:
+def dimensionless_basis(spec: FeatureSpec) -> MonomialSet:
     """Lattice basis of the dimensionless monomials, unit coefficient each.
 
     len == d - rank(U).  Deterministic: the Smith decomposition of the units
     matrix is pivoted deterministically and basis vectors are sign-normalized.
     """
-    return [Monomial(v) for v in nullspace_basis(spec.units_matrix())]
+    basis = nullspace_basis(spec.units_matrix())
+    return MonomialSet(np.array(basis, dtype=np.int64).reshape(len(basis), spec.d))
 
 
 def _exponent_ranges(spec: FeatureSpec, max_degree: int) -> list[range]:
@@ -418,7 +486,7 @@ def enumerate_monomials(
     max_degree: int,
     dimensionless_only: bool = False,
     max_candidates: int = 10**8,
-) -> list[Monomial]:
+) -> MonomialSet:
     """All monomials with degree(alpha) <= max_degree, honoring each feature's
     sign constraint, in lexicographic exponent order: lattice_points over
     the whole degree box, or with dimensionless_only over the units-matrix
@@ -428,13 +496,12 @@ def enumerate_monomials(
     described at lattice_points).
     """
     target = spec.system.zero() if dimensionless_only else None
-    pts = lattice_points(spec, target, max_degree, max_candidates)
-    return [Monomial(tuple(row)) for row in pts.tolist()]
+    return MonomialSet(lattice_points(spec, target, max_degree, max_candidates))
 
 
 def sample_dimensional_monomials(
     spec: FeatureSpec, max_degree: int, n: int, seed: int
-) -> list[Monomial]:
+) -> MonomialSet:
     """Draw n distinct monomials with nonzero units, uniformly from the same
     degree box enumerate_monomials sweeps.  Used as contamination controls
     for the dimensionless regressions.
@@ -443,7 +510,7 @@ def sample_dimensional_monomials(
     rng = np.random.default_rng(seed)
     U = np.array([f.units.exps for f in spec.features], dtype=np.int64)
     seen: set[tuple[int, ...]] = set()
-    out: list[Monomial] = []
+    out: list[tuple[int, ...]] = []
     attempts = 0
     while len(out) < n:
         attempts += 1
@@ -455,8 +522,8 @@ def sample_dimensional_monomials(
         if exps in seen or not np.any(np.array(exps, dtype=np.int64) @ U):
             continue
         seen.add(exps)
-        out.append(Monomial(exps))
-    return out
+        out.append(exps)
+    return MonomialSet(np.array(out, dtype=np.int64).reshape(n, spec.d))
 
 
 def reynolds_project(m: Monomial, spec: FeatureSpec) -> Monomial:
@@ -472,7 +539,7 @@ def decoder_solutions(
     target_units: UnitVector,
     max_degree: int,
     max_candidates: int = 10**8,
-) -> list[Monomial]:
+) -> MonomialSet:
     """All monomials with the given target units and degree <= max_degree,
     sorted by (degree, total_degree, exponent tuple): the lattice_points
     solutions, so empty when no integer solution exists at all or none lands
@@ -482,7 +549,7 @@ def decoder_solutions(
     pts = lattice_points(spec, target_units, max_degree, max_candidates)
     mags = np.abs(pts)
     keys = tuple(pts.T[::-1]) + (mags.sum(axis=1), (mags * spec.weights()).max(axis=1))
-    return [Monomial(tuple(row)) for row in pts[np.lexsort(keys)].tolist()]
+    return MonomialSet(pts[np.lexsort(keys)])
 
 
 def apply_decoder(
@@ -495,34 +562,59 @@ def apply_decoder(
 # ---------------------------------------------------------------------------
 # serialization
 
-def monomial_to_json_dict(m: Monomial, spec: FeatureSpec) -> dict:
-    return {
-        "exps": list(m.exps),
-        "coeff": m.coeff,
-        "degree": degree(m, spec),
-        "units": list(monomial_units(m, spec).exps),
-    }
+def _unit_rows(monomials: MonomialSet, spec: FeatureSpec) -> list[list[int]]:
+    return (monomials.exps @ np.array(spec.units_matrix().entries, dtype=np.int64)).tolist()
 
 
-def monomial_from_json_dict(data: dict, spec: FeatureSpec) -> Monomial:
-    m = Monomial(tuple(int(e) for e in data["exps"]), float(data.get("coeff", 1.0)))
-    if len(m.exps) != spec.d:
-        raise ValueError(f"monomial has {len(m.exps)} exponents, spec has {spec.d} features")
-    if "units" in data:
-        stored = UnitVector(tuple(int(u) for u in data["units"]))
-        actual = monomial_units(m, spec)
-        if stored != actual:
-            raise ValueError(
-                f"stored units {stored.exps} disagree with computed units {actual.exps}"
+def monomials_to_json(monomials: MonomialSet, spec: FeatureSpec) -> list[dict]:
+    """One JSON object per monomial: its exps, coeff, degree and units."""
+    exps = monomials.exps
+    degrees = (np.abs(exps) * spec.weights()).max(axis=1, initial=0).tolist()
+    return [
+        {"exps": e, "coeff": c, "degree": g, "units": u}
+        for e, c, g, u in zip(exps.tolist(), monomials.coeffs.tolist(), degrees,
+                              _unit_rows(monomials, spec))
+    ]
+
+
+def finite_number(value, what: str) -> float:
+    """A JSON number as a float; DataError naming `what` unless it is finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise DataError(f"{what}: {value!r} is not a finite number")
+    return float(value)
+
+
+def monomials_from_json(entries, spec: FeatureSpec, what: str) -> MonomialSet:
+    """The set whose monomials_to_json objects are `entries`.  DataError,
+    naming the entry as `what` and its index, unless entries is a list of
+    objects, each with d integer exponents, a finite coeff (default 1) and,
+    where stored, the units those exponents give; KeyError without "exps"."""
+    if not isinstance(entries, list):
+        raise DataError(f"expected a list of {what}s, got {type(entries).__name__}")
+    rows, coeffs = [], []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DataError(f"{what} {i}: expected an object, got {type(entry).__name__}")
+        exps = entry["exps"]
+        if not (isinstance(exps, list) and len(exps) == spec.d
+                and all(isinstance(e, int) and not isinstance(e, bool) for e in exps)):
+            raise DataError(f"{what} {i}: exps {exps!r} is not a list of {spec.d} integers")
+        rows.append(exps)
+        coeffs.append(finite_number(entry.get("coeff", 1.0), f"{what} {i}: coeff"))
+    monomials = MonomialSet(np.array(rows, dtype=np.int64).reshape(len(rows), spec.d), coeffs)
+    for i, (entry, units) in enumerate(zip(entries, _unit_rows(monomials, spec))):
+        if "units" in entry and entry["units"] != units:
+            raise DataError(
+                f"{what} {i}: stored units {entry['units']} disagree with computed units {units}"
             )
-    return m
+    return monomials
 
 
-def save_monomials(path, monomials: Iterable[Monomial], spec: FeatureSpec) -> None:
+def save_monomials(path, monomials: MonomialSet | Sequence[Monomial], spec: FeatureSpec) -> None:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "feature_names": spec.names(),
-        "monomials": [monomial_to_json_dict(m, spec) for m in monomials],
+        "monomials": monomials_to_json(as_monomial_set(monomials, spec.d), spec),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
@@ -531,7 +623,8 @@ def save_monomials(path, monomials: Iterable[Monomial], spec: FeatureSpec) -> No
 def read_json_file(path, parse):
     """parse(payload) for the JSON object in the file at path.  DataError
     naming the path for text that is not JSON (with the decoder's line and
-    column), a value that is not an object, or a key parse finds missing."""
+    column), a value that is not an object, a key parse finds missing, or a
+    DataError parse raises."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -543,10 +636,13 @@ def read_json_file(path, parse):
         return parse(payload)
     except KeyError as e:
         raise DataError(f"{path}: missing key {e}") from None
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
-def load_monomials(path, spec: FeatureSpec) -> list[Monomial]:
-    """The monomials save_monomials wrote; DataError as read_json_file."""
+def load_monomials(path, spec: FeatureSpec) -> MonomialSet:
+    """The monomials save_monomials wrote; DataError as read_json_file and
+    monomials_from_json."""
     return read_json_file(
-        path, lambda payload: [monomial_from_json_dict(d, spec) for d in payload["monomials"]]
+        path, lambda payload: monomials_from_json(payload["monomials"], spec, "monomial")
     )

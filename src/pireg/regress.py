@@ -25,11 +25,14 @@ from .pi import (
     FeatureDef,
     FeatureSpec,
     Monomial,
+    MonomialSet,
     SCHEMA_VERSION,
+    as_monomial_set,
     build_design_matrix,
-    monomial_from_json_dict,
-    monomial_to_json_dict,
+    finite_number,
     monomial_units,
+    monomials_from_json,
+    monomials_to_json,
     read_json_file,
 )
 from .units import (
@@ -51,15 +54,7 @@ class LassoConvergenceWarning(UserWarning):
     pass
 
 
-class EmptyEnsemble(ValueError):
-    pass
-
-
 class ZeroScale(ZeroDivisionError):
-    pass
-
-
-class BothZero(ZeroDivisionError):
     pass
 
 
@@ -373,11 +368,11 @@ class RegressionModel:
 
     decoder None means the model was fit directly on the dimensional label
     (no unit restoration; not equivariant).  Otherwise the decoder's units
-    must equal the label units.
+    must equal the label units.  A sequence of Monomial is stored as a set.
     """
 
     spec: FeatureSpec
-    monomials: tuple[Monomial, ...]
+    monomials: MonomialSet
     weights: tuple[float, ...]
     decoder: Monomial | None
     label_units: UnitVector
@@ -385,6 +380,7 @@ class RegressionModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "monomials", as_monomial_set(self.monomials, self.spec.d))
         if len(self.monomials) != len(self.weights):
             raise ValueError("one weight per monomial required")
         if self.decoder is not None:
@@ -421,57 +417,12 @@ def predict(model: RegressionModel, x) -> Quantity:
     return Quantity(float(value), model.label_units)
 
 
-def ensemble_predict(models: Sequence[RegressionModel], x, combine: str = "mean") -> Quantity:
-    """Combine predictions of several models sharing label units (unweighted
-    mean by default, median behind the flag)."""
-    if not models:
-        raise EmptyEnsemble("no models to combine")
-    units = models[0].label_units
-    for m in models[1:]:
-        if m.label_units != units:
-            raise UnitMismatch(units, m.label_units, "ensemble members")
-    values = [predict(m, x).value for m in models]
-    if combine == "mean":
-        return Quantity(float(np.mean(values)), units)
-    if combine == "median":
-        return Quantity(float(np.median(values)), units)
-    raise ValueError(f"unknown combine mode {combine!r}")
-
-
-# ---------------------------------------------------------------------------
-# losses and error metrics
-
-def dimensionless_loss(pred: Quantity, label: Quantity, scale: Quantity) -> float:
-    """((pred - label) / scale)^2; all three unit vectors must agree."""
-    if pred.units != label.units:
-        raise UnitMismatch(pred.units, label.units, "prediction and label")
-    if scale.units != label.units:
-        raise UnitMismatch(scale.units, label.units, "scale and label")
-    if scale.value == 0.0:
-        raise ZeroScale("loss scale evaluated to zero")
-    ratio = (pred.value - label.value) / scale.value
-    return ratio * ratio
-
-
-def state_relative_error(pred, truth) -> float:
-    """||pred - truth|| / (||pred|| + ||truth||) with Euclidean norms over
-    state vectors; 0 for a perfect nonzero match, 1 when pred = -truth."""
-    pred = np.asarray(pred, dtype=float).ravel()
-    truth = np.asarray(truth, dtype=float).ravel()
-    if pred.shape != truth.shape:
-        raise ValueError(f"state vectors of different length: {pred.shape} vs {truth.shape}")
-    denom = float(np.linalg.norm(pred) + np.linalg.norm(truth))
-    if denom == 0.0:
-        raise BothZero("both prediction and truth are zero vectors")
-    return float(np.linalg.norm(pred - truth)) / denom
-
-
 # ---------------------------------------------------------------------------
 # training driver
 
 def fit_monomial_model(
     data: Dataset,
-    monomials: Sequence[Monomial],
+    monomials: MonomialSet | Sequence[Monomial],
     decoder: Monomial | None,
     method: str = "ols",
     ridge: float = 0.0,
@@ -488,6 +439,7 @@ def fit_monomial_model(
     a decoder the fit is direct on the dimensional label (loss_scale, when
     given, again weights rows).
     """
+    monomials = as_monomial_set(monomials, data.spec.d)
     X = build_design_matrix(data.rows, monomials)
     if decoder is not None:
         dec_units = monomial_units(decoder, data.spec)
@@ -527,7 +479,7 @@ def fit_monomial_model(
         raise ValueError(f"unknown method {method!r}")
     return RegressionModel(
         data.spec,
-        tuple(monomials),
+        monomials,
         tuple(float(w) for w in weights),
         decoder,
         data.label_units,
@@ -618,10 +570,10 @@ def model_to_json_dict(model: RegressionModel) -> dict:
         "schema_version": SCHEMA_VERSION,
         "feature_spec": model.spec.to_json_dict(),
         "label_units": list(model.label_units.exps),
-        "monomials": [monomial_to_json_dict(m, model.spec) for m in model.monomials],
+        "monomials": monomials_to_json(model.monomials, model.spec),
         "weights": list(model.weights),
         "decoder": (
-            monomial_to_json_dict(model.decoder, model.spec)
+            monomials_to_json(as_monomial_set([model.decoder], model.spec.d), model.spec)[0]
             if model.decoder is not None
             else None
         ),
@@ -631,20 +583,25 @@ def model_to_json_dict(model: RegressionModel) -> dict:
 
 
 def model_from_json_dict(data: dict) -> RegressionModel:
+    """The model model_to_json_dict wrote.  DataError as monomials_from_json,
+    and unless there is one finite weight per monomial and a finite intercept."""
     spec = FeatureSpec.from_json_dict(data["feature_spec"])
-    monomials = tuple(monomial_from_json_dict(d, spec) for d in data["monomials"])
+    monomials = monomials_from_json(data["monomials"], spec, "monomial")
+    weights = data["weights"]
+    if not isinstance(weights, list) or len(weights) != len(monomials):
+        raise DataError(f"expected a list of {len(monomials)} weights, one per monomial")
     decoder = (
-        monomial_from_json_dict(data["decoder"], spec)
+        monomials_from_json([data["decoder"]], spec, "decoder")[0]
         if data.get("decoder") is not None
         else None
     )
     return RegressionModel(
         spec,
         monomials,
-        tuple(float(w) for w in data["weights"]),
+        tuple(finite_number(w, f"weight {j}") for j, w in enumerate(weights)),
         decoder,
         UnitVector(tuple(int(u) for u in data["label_units"])),
-        float(data.get("intercept", 0.0)),
+        finite_number(data.get("intercept", 0.0), "intercept"),
         dict(data.get("metadata", {})),
     )
 
@@ -655,5 +612,6 @@ def save_model(path, model: RegressionModel) -> None:
 
 
 def load_model(path) -> RegressionModel:
-    """The model save_model wrote; DataError as pi.read_json_file."""
+    """The model save_model wrote; DataError as pi.read_json_file and
+    model_from_json_dict."""
     return read_json_file(path, model_from_json_dict)

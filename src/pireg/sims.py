@@ -4,16 +4,14 @@ PDE, the black-body feature set, and double-pendulum unit checklists.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from itertools import combinations, product
-from pathlib import Path
 
 import numpy as np
 
 from .geometry import ScalarizeRules, VectorFeature, scalarize
-from .pi import FeatureDef, FeatureSpec, Monomial, monomial_units, parse_monomial
+from .pi import FeatureDef, FeatureSpec, Monomial, MonomialSet, monomial_units, parse_monomial
 from .regress import Dataset
 from .units import BaseUnitSystem, Quantity, UnitVector, parse_unit, si_system
 
@@ -211,7 +209,7 @@ def rietkerk_spec() -> FeatureSpec:
     return FeatureSpec(feats, RIETKERK_SYSTEM)
 
 
-def rietkerk_table_features() -> list[Monomial]:
+def rietkerk_table_features() -> MonomialSet:
     """The 12 dimensionless parameter combinations used by the emulation
     regression (each checks to zero units; together they span the lattice)."""
     spec = rietkerk_spec()
@@ -229,13 +227,13 @@ def rietkerk_table_features() -> list[Monomial]:
         "alpha^-1 D_w L^-2",
         "L^-1 dl",
     ]
-    out = []
+    exps = []
     for expr in exprs:
         mono = parse_monomial(expr, spec)
         if not monomial_units(mono, spec).is_zero():
             raise AssertionError(f"table feature {expr!r} is not dimensionless")
-        out.append(mono)
-    return out
+        exps.append(mono.exps)
+    return MonomialSet(np.array(exps, dtype=np.int64))
 
 
 @dataclass
@@ -482,37 +480,6 @@ def integrate_rietkerk(
 
 def mean_vegetation(state: RietkerkState) -> Quantity:
     return Quantity(float(state.v.mean()), VEGETATION_UNITS)
-
-
-def save_state(state: RietkerkState, path) -> None:
-    """Dump the three fields as one flat little-endian float64 binary next to
-    a JSON shape descriptor at `path` + ".json"."""
-    path = Path(path)
-    stacked = np.stack([state.u, state.w, state.v]).astype("<f8")
-    path.write_bytes(stacked.tobytes())
-    descriptor = {
-        "fields": ["u", "w", "v"],
-        "shape": list(state.u.shape),
-        "dtype": "<f8",
-        "dl": state.dl,
-        "t": state.t,
-    }
-    with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-        json.dump(descriptor, fh, indent=1)
-
-
-def load_state(path) -> RietkerkState:
-    path = Path(path)
-    with open(path.with_suffix(path.suffix + ".json")) as fh:
-        desc = json.load(fh)
-    shape = tuple(desc["shape"])
-    raw = np.frombuffer(path.read_bytes(), dtype=desc["dtype"])
-    fields = raw.reshape((len(desc["fields"]),) + shape)
-    named = dict(zip(desc["fields"], fields))
-    return RietkerkState(
-        named["u"].copy(), named["w"].copy(), named["v"].copy(),
-        desc["dl"], desc["t"],
-    )
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pireg import pi, regress, sims
-from pireg.cli import main, run_rietkerk
+from pireg.cli import load_spec_file, main, run_rietkerk
 from pireg.pi import FeatureDef, FeatureSpec
 from pireg.units import Quantity, parse_unit, si_system
 
@@ -341,6 +341,89 @@ def test_regress_features_file_errors_exit_3(pendulum_csvs, tmp_path, capsys, te
                "--features", f"file:{bad}", "--decoder", "expr:k_s L^2"])
     assert rc == 3
     assert message in capsys.readouterr().err
+
+
+def _set(key, value, index=3):
+    def edit(payload):
+        payload["monomials"][index][key] = value
+    return edit
+
+
+def _exps_entry(index, value):
+    def edit(payload):
+        payload["monomials"][3]["exps"][index] = value
+    return edit
+
+
+# each edit of a saved --features file or model file and the data error it
+# must give, naming the file and the entry
+@pytest.mark.parametrize("name, edit, message", [
+    ("features.json", _exps_entry(1, 1.5),
+     "features.json: monomial 3: exps [-2, 1.5, -2, "),
+    ("features.json", _exps_entry(slice(0, 1), []),
+     "features.json: monomial 3: exps ["),
+    ("features.json", _set("units", [1, 0, 0]),
+     "features.json: monomial 3: stored units [1, 0, 0] disagree with computed units [0, 0, 0]"),
+    ("features.json", lambda payload: payload.update(monomials=5),
+     "features.json: expected a list of monomials, got int"),
+    ("features.json", lambda payload: payload.update(monomials=[[0] * 9]),
+     "features.json: monomial 0: expected an object, got list"),
+    ("features.json", _set("coeff", float("nan")),
+     "features.json: monomial 3: coeff: nan is not a finite number"),
+    ("model.json", _set("coeff", float("inf")),
+     "model.json: monomial 3: coeff: inf is not a finite number"),
+    ("model.json", lambda payload: payload["weights"].__setitem__(2, float("nan")),
+     "model.json: weight 2: nan is not a finite number"),
+    ("model.json", lambda payload: payload.update(weights=payload["weights"][1:]),
+     "model.json: expected a list of 6 weights, one per monomial"),
+    ("model.json", lambda payload: payload.update(intercept=float("-inf")),
+     "model.json: intercept: -inf is not a finite number"),
+    ("model.json", lambda payload: payload["decoder"]["exps"].__setitem__(1, 1.0),
+     "model.json: decoder 0: exps [0, 1.0, "),
+], ids=["fractional-exponent", "exps-length", "units", "not-a-list", "not-objects",
+        "nan-coeff", "model-inf-coeff", "model-nan-weight", "model-weight-count",
+        "model-inf-intercept", "model-float-decoder-exponent"])
+def test_monomial_and_model_file_errors_exit_3(pendulum_csvs, tmp_path, capsys, name, edit,
+                                               message):
+    spec = sims.pendulum_spec()
+    features = pi.enumerate_monomials(spec, 2, dimensionless_only=True)[:6]
+    path = tmp_path / name
+    if name == "features.json":
+        pi.save_monomials(path, features, spec)
+    else:
+        decoder = pi.parse_monomial("k_s L^2", spec)
+        model = regress.RegressionModel(spec, features, (0.5,) * 6, decoder,
+                                        pi.monomial_units(decoder, spec))
+        regress.save_model(path, model)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    if name == "features.json":
+        rc = main(["regress", pendulum_csvs["train"], "--spec", pendulum_csvs["spec"],
+                   "--features", f"file:{path}", "--decoder", "expr:k_s L^2"])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+    else:
+        with pytest.raises(regress.DataError) as err:
+            regress.load_model(path)
+        assert message in str(err.value)
+
+
+def test_model_and_monomial_files_round_trip_byte_for_byte(tmp_path, capsys):
+    out = tmp_path / "springy"
+    assert main(["experiment", "springy", "--scale", "desk", "--out", str(out)]) == 0
+    model_path, copy = out / "model_ols.json", tmp_path / "model_copy.json"
+    regress.save_model(copy, regress.load_model(model_path))
+    assert copy.read_bytes() == model_path.read_bytes()
+
+    monos, monos_copy = tmp_path / "monos.json", tmp_path / "monos_copy.json"
+    assert main(["enumerate", str(SPECS / "springy.json"), "--max-degree", "2",
+                 "--dimensionless-only", "--out", str(monos)]) == 0
+    spec, _ = load_spec_file(SPECS / "springy.json")
+    loaded = pi.load_monomials(monos, spec)
+    assert len(loaded) == 286
+    pi.save_monomials(monos_copy, loaded, spec)
+    assert monos_copy.read_bytes() == monos.read_bytes()
 
 
 def test_regress_units_mismatch_is_spec_error(pendulum_csvs, tmp_path):

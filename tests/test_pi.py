@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -12,9 +13,11 @@ from pireg.pi import (
     FeatureDef,
     FeatureSpec,
     Monomial,
+    MonomialSet,
     NonFinite,
     PoleAtZero,
     apply_decoder,
+    as_monomial_set,
     build_design_matrix,
     decoder_solutions,
     degree,
@@ -24,8 +27,8 @@ from pireg.pi import (
     format_monomial,
     lattice_points,
     load_monomials,
-    monomial_from_json_dict,
-    monomial_to_json_dict,
+    monomials_from_json,
+    monomials_to_json,
     monomial_units,
     parse_monomial,
     reynolds_project,
@@ -467,6 +470,44 @@ def test_parse_monomial_errors(pend_spec):
         parse_monomial("m^x", pend_spec)
 
 
+def test_monomial_set_views_equal_the_monomial_lists(pend_spec):
+    got = enumerate_monomials(pend_spec, 2, dimensionless_only=True)
+    old = box_sweep_enumerate(pend_spec, 2, dimensionless_only=True)
+    assert got.exps.shape == (286, pend_spec.d) and got.exps.dtype == np.int64
+    assert [got[i] for i in range(len(got))] == list(got) == old
+    assert got[np.int64(5)] == old[5] and got[-1] == old[-1]
+    assert all(type(e) is int for e in got[0].exps) and type(got[0].coeff) is float
+    part = got[3:9]
+    assert isinstance(part, MonomialSet) and part == old[3:9]
+    assert got[:100] + got[100:] == got
+    assert isinstance(old[:2] + got, MonomialSet) and old[:2] + got == old[:2] + old
+    assert got != got[:-1] and got != MonomialSet(got.exps, np.full(len(got), 2.0))
+
+
+def test_monomial_set_is_read_only_and_owns_its_arrays():
+    src = np.array([[1, -2], [0, 3]])
+    coeffs = np.array([1.0, 0.5])
+    s = MonomialSet(src, coeffs)
+    src[0, 0] = coeffs[0] = 9
+    assert s[0] == Monomial((1, -2), 1.0)
+    with pytest.raises(ValueError):
+        s.exps[0, 0] = 5
+    with pytest.raises(ValueError):
+        s.coeffs[1] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.exps = src
+    for exps in (np.array([[1.5, 0.0]]), np.array([1, 2])):
+        with pytest.raises(ValueError):
+            MonomialSet(exps)
+
+
+def test_empty_monomial_sets_keep_their_width():
+    area = mech_spec(("area", "m^2", 1, True))
+    assert decoder_solutions(area, parse_unit("m", MECH), 6).exps.shape == (0, 1)
+    assert dimensionless_basis(PLANCK).exps.shape == (0, PLANCK.d)
+    assert sample_dimensional_monomials(PLANCK, 1, 0, seed=0).exps.shape == (0, PLANCK.d)
+
+
 def test_monomial_json_round_trip(pend_spec, tmp_path):
     monos = enumerate_monomials(pend_spec, 2, dimensionless_only=True)[:40]
     path = tmp_path / "monos.json"
@@ -477,10 +518,10 @@ def test_monomial_json_round_trip(pend_spec, tmp_path):
 
 def test_monomial_json_validates_units(pend_spec):
     m = parse_monomial("k_s L^2", pend_spec)
-    data = monomial_to_json_dict(m, pend_spec)
-    data["units"] = [0] * pend_spec.k
+    data = monomials_to_json(as_monomial_set([m], pend_spec.d), pend_spec)
+    data[0]["units"] = [0] * pend_spec.k
     with pytest.raises(ValueError):
-        monomial_from_json_dict(data, pend_spec)
+        monomials_from_json(data, pend_spec, "monomial")
 
 
 def test_sample_dimensional_monomials(pend_spec):

@@ -20,18 +20,13 @@ from pireg.pi import (
 )
 from pireg import regress
 from pireg.regress import (
-    BothZero,
     DataError,
     Dataset,
-    EmptyEnsemble,
     LassoConvergenceWarning,
     RankDeficientWarning,
     RegressionModel,
-    ZeroScale,
     build_design_matrix,
-    dimensionless_loss,
     dimensionless_mse,
-    ensemble_predict,
     equivariance_residual,
     fit_lasso,
     fit_monomial_model,
@@ -46,7 +41,6 @@ from pireg.regress import (
     save_dataset_csv,
     save_model,
     soft_threshold,
-    state_relative_error,
 )
 from pireg.sims import (
     GridScale,
@@ -654,47 +648,6 @@ def test_equivariance_residual_matches_per_group_oracle(monkeypatch):
     assert equivariance_residual(ols, points) == per_group_equivariance_oracle(ols, points)
 
 
-def test_ensemble_predict():
-    data = small_dataset()
-    spec = data.spec
-    const = Monomial.constant(spec.d)
-
-    def const_model(value):
-        return RegressionModel(spec, (const,), (value,), None, JOULE)
-
-    x = data.rows[0]
-    assert ensemble_predict([const_model(4.0), const_model(6.0)], x) == Quantity(5.0, JOULE)
-    assert ensemble_predict([const_model(4.0)], x) == predict(const_model(4.0), x)
-    assert ensemble_predict(
-        [const_model(1.0), const_model(1.0), const_model(7.0)], x, combine="median"
-    ) == Quantity(1.0, JOULE)
-    with pytest.raises(EmptyEnsemble):
-        ensemble_predict([], x)
-    other = RegressionModel(spec, (const,), (1.0,), None, parse_unit("m", MECH))
-    with pytest.raises(UnitMismatch):
-        ensemble_predict([const_model(1.0), other], x)
-    with pytest.raises(ValueError):
-        ensemble_predict([const_model(1.0)], x, combine="mode")
-
-
-def test_ensemble_of_equivariant_models_is_equivariant():
-    data = small_dataset(8, seed=14)
-    spec = data.spec
-    m1 = truth_model(spec)
-    # second member: same units (J) through a different decoder monomial
-    dec2 = parse_monomial("m g.q", spec)
-    assert monomial_units(dec2, spec) == JOULE
-    m2 = RegressionModel(spec, (Monomial.constant(spec.d),), (0.3,), dec2, JOULE)
-    rng = np.random.default_rng(15)
-    for _ in range(100):
-        g = GroupElement(tuple(rng.uniform(0.1, 10.0, size=3)))
-        x = data.rows[int(rng.integers(data.n))]
-        gx = rescale_rows(g, x[None, :], spec)[0]
-        lhs = ensemble_predict([m1, m2], gx).value
-        rhs = scale_factor(g, JOULE) * ensemble_predict([m1, m2], x).value
-        assert math.isclose(lhs, rhs, rel_tol=1e-10)
-
-
 def test_decoder_units_checked_at_construction():
     data = small_dataset()
     with pytest.raises(UnitMismatch):
@@ -705,29 +658,6 @@ def test_decoder_units_checked_at_construction():
             parse_monomial("L", data.spec),
             JOULE,
         )
-
-
-# ---------------------------------------------------------------------------
-# losses
-
-def test_dimensionless_loss():
-    v = JOULE
-    assert dimensionless_loss(Quantity(3.0, v), Quantity(3.0, v), Quantity(2.0, v)) == 0.0
-    assert dimensionless_loss(Quantity(5.0, v), Quantity(3.0, v), Quantity(2.0, v)) == 1.0
-    with pytest.raises(UnitMismatch):
-        dimensionless_loss(Quantity(5.0, v), Quantity(3.0, parse_unit("m", MECH)), Quantity(2.0, v))
-    with pytest.raises(ZeroScale):
-        dimensionless_loss(Quantity(5.0, v), Quantity(3.0, v), Quantity(0.0, v))
-
-
-def test_state_relative_error():
-    assert state_relative_error([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert state_relative_error([1.0, -2.0], [-1.0, 2.0]) == 1.0
-    assert math.isclose(state_relative_error([2.0, 0.0], [1.0, 0.0]), 1.0 / 3.0)
-    with pytest.raises(BothZero):
-        state_relative_error([0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        state_relative_error([1.0], [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -298,24 +298,6 @@ def test_mean_vegetation_examples():
     assert mean_vegetation(state).value == 1.0
 
 
-def test_state_snapshot_roundtrip(tmp_path):
-    from pireg.sims import load_state, save_state
-
-    rng = np.random.default_rng(3)
-    state = RietkerkState(
-        rng.uniform(0, 5, (6, 6)), rng.uniform(0, 5, (6, 6)),
-        rng.uniform(0, 50, (6, 6)), dl=2.0, t=12.5,
-    )
-    path = tmp_path / "fields.bin"
-    save_state(state, path)
-    assert path.exists() and (tmp_path / "fields.bin.json").exists()
-    back = load_state(path)
-    assert np.array_equal(back.u, state.u)
-    assert np.array_equal(back.w, state.w)
-    assert np.array_equal(back.v, state.v)
-    assert back.dl == state.dl and back.t == state.t
-
-
 # --- batched Rietkerk integrator ---------------------------------------------
 
 
