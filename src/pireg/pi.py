@@ -587,8 +587,9 @@ def finite_number(value, what: str) -> float:
 def monomials_from_json(entries, spec: FeatureSpec, what: str) -> MonomialSet:
     """The set whose monomials_to_json objects are `entries`.  DataError,
     naming the entry as `what` and its index, unless entries is a list of
-    objects, each with d integer exponents, a finite coeff (default 1) and,
-    where stored, the units those exponents give; KeyError without "exps"."""
+    objects, each with d integer exponents within int64, a finite coeff
+    (default 1) and, where stored, the units those exponents give; KeyError
+    without "exps"."""
     if not isinstance(entries, list):
         raise DataError(f"expected a list of {what}s, got {type(entries).__name__}")
     rows, coeffs = [], []
@@ -601,7 +602,12 @@ def monomials_from_json(entries, spec: FeatureSpec, what: str) -> MonomialSet:
             raise DataError(f"{what} {i}: exps {exps!r} is not a list of {spec.d} integers")
         rows.append(exps)
         coeffs.append(finite_number(entry.get("coeff", 1.0), f"{what} {i}: coeff"))
-    monomials = MonomialSet(np.array(rows, dtype=np.int64).reshape(len(rows), spec.d), coeffs)
+    try:
+        exps = np.array(rows, dtype=np.int64).reshape(len(rows), spec.d)
+    except OverflowError:
+        i = next(i for i, row in enumerate(rows) if not all(-2**63 <= e < 2**63 for e in row))
+        raise DataError(f"{what} {i}: exps {rows[i]!r} has an entry outside int64") from None
+    monomials = MonomialSet(exps, coeffs)
     for i, (entry, units) in enumerate(zip(entries, _unit_rows(monomials, spec))):
         if "units" in entry and entry["units"] != units:
             raise DataError(

@@ -298,29 +298,36 @@ def _periodic_laplacian(f: np.ndarray, out: np.ndarray, work: np.ndarray) -> Non
 
 
 class _EulerBatch:
-    """B runs on one grid: u, w and v as one (3, B, ny, nx) stack, the
-    per-run parameters as (B, 1, 1) columns, and the buffers that an Euler
-    step writes into."""
+    """B runs on one grid: u, w and v as one (3, B, ny, nx) stack, each
+    per-run parameter as a read-only (B, ny, nx) field, the diffusion
+    coefficients as one (3, B, ny, nx) field, and the buffers that an Euler
+    step writes into.  A multiply that broadcasts a (B, 1, 1) column takes
+    about 1.6x as long as one with same-shape contiguous operands at B = 2
+    and 8 (50 x 50 grid, numpy 2.4 on a 2-vCPU Xeon); each element rounds
+    alike."""
 
     def __init__(self, params: list[RietkerkParams], fields: np.ndarray,
                  dt: float, inv_dl2: float):
-        def column(values):
-            return np.array(values, dtype=float).reshape(-1, 1, 1)
+        def field(values, shape=fields.shape[1:]):
+            column = np.array(values, dtype=float)[..., None, None]
+            out = np.ascontiguousarray(np.broadcast_to(column, shape))
+            out.flags.writeable = False
+            return out
 
         self.fields = np.ascontiguousarray(fields)
         self.dt = dt
         self.inv_dl2 = inv_dl2
-        self.R = column([p.R for p in params])
-        self.alpha = column([p.alpha for p in params])
-        self.k2 = column([p.k2 for p in params])
-        self.k2_W0 = column([p.k2 * p.W0 for p in params])
-        self.g_m = column([p.g_m for p in params])
-        self.k1 = column([p.k1 for p in params])
-        self.delta_w = column([p.delta_w for p in params])
-        self.c = column([p.c for p in params])
-        self.delta_v = column([p.delta_v for p in params])
-        self.D = np.array([[p.D_u for p in params], [p.D_w for p in params],
-                           [p.D_v for p in params]], dtype=float).reshape(3, -1, 1, 1)
+        self.R = field([p.R for p in params])
+        self.alpha = field([p.alpha for p in params])
+        self.k2 = field([p.k2 for p in params])
+        self.k2_W0 = field([p.k2 * p.W0 for p in params])
+        self.g_m = field([p.g_m for p in params])
+        self.k1 = field([p.k1 for p in params])
+        self.delta_w = field([p.delta_w for p in params])
+        self.c = field([p.c for p in params])
+        self.delta_v = field([p.delta_v for p in params])
+        self.D = field([[p.D_u for p in params], [p.D_w for p in params],
+                        [p.D_v for p in params]], fields.shape)
         self.lap = np.empty(fields.shape)
         self.rate = np.empty(fields.shape)
         self.infil = np.empty(fields.shape[1:])
@@ -416,6 +423,7 @@ def integrate_rietkerk_batch(
     fields = np.array([[s.u for s in inits], [s.w for s in inits], [s.v for s in inits]],
                       dtype=float)
     batch = _EulerBatch(params, fields, dt, inv_dl2)
+    cells = shape[0] * shape[1]
     live = list(range(len(params)))  # batch slot -> run index, ascending
     runs: list[RietkerkRun | None] = [None] * len(params)
     extinction: list[int | None] = [None] * len(params)
@@ -423,25 +431,26 @@ def integrate_rietkerk_batch(
     for step in range(n_steps):
         batch.step()
         x = batch.fields
-        drop = set()
+        # slots from `first` on blew up, or follow one that did and so would
+        # never be reached one by one
+        first = len(live)
         if not (x.min() >= -1e-9):  # also catches NaN
             low = x.min(axis=(0, 2, 3))
             first = next(i for i in range(len(live)) if not (low[i] >= -1e-9))
             blowup = (live[first], step)
-            # runs after the first blowup would never be reached one by one
-            drop.update(range(first, len(live)))
-        gone = x[2].mean(axis=(1, 2)) < extinction_threshold
+        # the sum and division of x[2].mean(axis=(1, 2)), without its overhead
+        gone = np.add.reduce(x[2].reshape(len(live), -1), axis=1) / cells < extinction_threshold
+        stopped = ()
         if gone.any():
-            for slot in np.flatnonzero(gone):
+            for slot in np.flatnonzero(gone[:first]):
                 run = live[slot]
-                if slot in drop or extinction[run] is not None:
-                    continue
-                extinction[run] = step
-                if stop_on_extinction:
-                    runs[run] = _finished_run(x, slot, dl, step + 1, dt, step)
-                    drop.add(slot)
-        if drop:
-            keep = [i for i in range(len(live)) if i not in drop]
+                if extinction[run] is None:
+                    extinction[run] = step
+                    if stop_on_extinction:
+                        runs[run] = _finished_run(x, slot, dl, step + 1, dt, step)
+                        stopped += (slot,)
+        if first < len(live) or stopped:
+            keep = [i for i in range(first) if i not in stopped]
             live = [live[i] for i in keep]
             if not live:
                 break
@@ -519,8 +528,9 @@ def _rietkerk_draw(seed: int, run_idx: int, scale: GridScale):
 
 # Most draws one chunk of rietkerk_experiment integrates together.  Median
 # cost per run-step on a 50 x 50 grid (numpy 2.4, 2-vCPU Xeon, 2 MB L2 per
-# core): 130 us at B = 1, 105 us at B = 3-6, 100 us at B = 8, 125 us at
-# B = 16, where the batch's buffers outgrow the cache.
+# core): 126 us at B = 1, 100 us at B = 2, 94-97 us at B = 3-6, 92 us at
+# B = 8, 109 us at B = 12 and 133 us at B = 16, where the batch's 24
+# (B, ny, nx) arrays (3.8 MB at B = 8) spill further out of the cache.
 _MAX_BATCH = 8
 
 

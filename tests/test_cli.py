@@ -362,6 +362,8 @@ def _exps_entry(index, value):
      "features.json: monomial 3: exps [-2, 1.5, -2, "),
     ("features.json", _exps_entry(slice(0, 1), []),
      "features.json: monomial 3: exps ["),
+    ("features.json", _exps_entry(1, 10**20),
+     "features.json: monomial 3: exps [-2, 100000000000000000000, -2, "),
     ("features.json", _set("units", [1, 0, 0]),
      "features.json: monomial 3: stored units [1, 0, 0] disagree with computed units [0, 0, 0]"),
     ("features.json", lambda payload: payload.update(monomials=5),
@@ -380,8 +382,8 @@ def _exps_entry(index, value):
      "model.json: intercept: -inf is not a finite number"),
     ("model.json", lambda payload: payload["decoder"]["exps"].__setitem__(1, 1.0),
      "model.json: decoder 0: exps [0, 1.0, "),
-], ids=["fractional-exponent", "exps-length", "units", "not-a-list", "not-objects",
-        "nan-coeff", "model-inf-coeff", "model-nan-weight", "model-weight-count",
+], ids=["fractional-exponent", "exps-length", "int64-overflow", "units", "not-a-list",
+        "not-objects", "nan-coeff", "model-inf-coeff", "model-nan-weight", "model-weight-count",
         "model-inf-intercept", "model-float-decoder-exponent"])
 def test_monomial_and_model_file_errors_exit_3(pendulum_csvs, tmp_path, capsys, name, edit,
                                                message):

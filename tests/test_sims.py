@@ -362,7 +362,8 @@ def varied_runs(n_runs, extinct=(), shape=(9, 12), T=1.0, seed=0, **fixed):
 
 
 @pytest.mark.parametrize("stop", [False, True])
-@pytest.mark.parametrize("n_runs, extinct", [(1, ()), (1, (0,)), (3, (1,)), (8, (2, 5))])
+@pytest.mark.parametrize("n_runs, extinct",
+                         [(1, ()), (1, (0,)), (3, (1,)), (8, (2, 5)), (2, (1,))])
 def test_batch_bit_identical_to_roll_loop(n_runs, extinct, stop):
     params, inits = varied_runs(n_runs, extinct, seed=n_runs)
     before = [(s.u.copy(), s.w.copy(), s.v.copy()) for s in inits]
@@ -382,6 +383,20 @@ def test_batch_bit_identical_to_roll_loop(n_runs, extinct, stop):
     for (u, w, v), init in zip(before, inits):  # the initial states are not written
         assert np.array_equal(u, init.u) and np.array_equal(w, init.w)
         assert np.array_equal(v, init.v)
+
+
+def test_batch_bit_identical_to_roll_loop_on_desk_grid():
+    # the grid and batch size of the benchmark's op: 50 x 50 cells, two runs
+    # whose parameters differ, 100 steps
+    params, inits = varied_runs(2, shape=(50, 50), T=0.5, seed=9)
+    assert params[0] != params[1]
+    runs = integrate_rietkerk_batch(params, inits)
+    for i, (p, init, run) in enumerate(zip(params, inits, runs)):
+        u, w, v, steps, extinction_step = roll_loop_oracle(p, init)
+        assert np.array_equal(run.state.u, u), i
+        assert np.array_equal(run.state.w, w), i
+        assert np.array_equal(run.state.v, v), i
+        assert run.steps == steps == 100 and run.extinction_step is extinction_step is None
 
 
 def test_batch_blowup_reports_lowest_run_at_its_serial_step():
