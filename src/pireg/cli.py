@@ -415,33 +415,9 @@ def cmd_experiment(args, config) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-_HARD_DEFAULTS = {
-    "units-check": {},
-    "basis": {"out": None},
-    "enumerate": {"max_degree": 2, "dimensionless_only": False, "out": None},
-    "regress": {
-        "test": None,
-        "features": "basis",
-        "method": "ols",
-        "ridge": 0.0,
-        "lam": 0.0,
-        "decoder": "auto",
-        "decoder_max_degree": 2,
-        "loss_scale": None,
-        "seed": 0,
-        "report": None,
-        "model_out": None,
-    },
-    "experiment": {
-        "scale": "desk",
-        "seed": 0,
-        "out": None,
-        "lam": 1e-2,
-    },
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """Every flag and its default.  Each subcommand adds its positionals after
+    its options: a report's config lists the parsed namespace in this order."""
     ap = argparse.ArgumentParser(
         prog="pireg",
         description="dimensionless monomial features and units-equivariant regression",
@@ -453,70 +429,69 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
 
     p = sub.add_parser("basis", help="print (and save) a dimensionless lattice basis")
-    p.add_argument("spec")
     p.add_argument("--out", default=None)
+    p.add_argument("spec")
 
     p = sub.add_parser("enumerate", help="sweep all monomials up to a degree")
-    p.add_argument("spec")
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--dimensionless-only", action="store_true", default=None)
+    p.add_argument("--max-degree", type=int, default=2)
+    p.add_argument("--dimensionless-only", action="store_true")
     p.add_argument("--out", default=None)
+    p.add_argument("spec")
 
     p = sub.add_parser("regress", help="fit a monomial regression from CSV data")
-    p.add_argument("train")
-    p.add_argument("--spec", required=True)
     p.add_argument("--test", default=None)
-    p.add_argument("--features", default=None, help="basis | enumerate:<deg> | file:<path>")
-    p.add_argument("--method", choices=["ols", "lasso"], default=None)
-    p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--decoder", default=None,
-                   help="auto | index:<i> | expr:<monomial> | ensemble")
-    p.add_argument("--decoder-max-degree", type=int, default=None)
+    p.add_argument("--features", default="basis", help="basis | enumerate:<deg> | file:<path>")
+    p.add_argument("--method", choices=["ols", "lasso"], default="ols")
+    p.add_argument("--ridge", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--decoder", default="auto", help="auto | index:<i> | expr:<monomial> | ensemble")
+    p.add_argument("--decoder-max-degree", type=int, default=2)
     p.add_argument("--loss-scale", default=None, help="monomial with label units")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None)
     p.add_argument("--model-out", default=None)
+    p.add_argument("--spec", required=True)
+    p.add_argument("train")
 
     p = sub.add_parser("experiment", help="run a canned experiment end to end")
-    p.add_argument("name", choices=["springy", "blackbody", "rietkerk"])
-    p.add_argument("--scale", choices=["desk", "paper"], default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--scale", choices=["desk", "paper"], default="desk")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=float, default=1e-2)
+    p.add_argument("name", choices=["springy", "blackbody", "rietkerk"])
 
     return ap
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge: explicit flags beat config-file values beat hard defaults.
-    Returns the fully resolved per-command config that reports echo."""
-    file_cfg = {}
-    if args.config:
+def parse_args(argv=None) -> argparse.Namespace:
+    """argv parsed with the --config file's section for the command as its
+    defaults: explicit flags beat file values, which beat build_parser's.
+    Keys name a flag in either spelling (max-degree or max_degree, lambda or
+    lam), other keys are ignored; values are checked as on the command line."""
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.config is None:
+        return args
+    section = pi.read_json_file(args.config, lambda payload: payload).get(args.command, {})
+    if not isinstance(section, dict):
+        raise DataError(f"{args.config}: section {args.command!r} is not a JSON object")
+    p = next(a for a in ap._actions if a.dest == "command").choices[args.command]
+    for action in p._actions:
+        names = [action.dest] + [o.lstrip("-") for o in action.option_strings]
+        value = next((section[k] for k in names if k in section), None)
+        if value is None or action.required or action.dest == "help":
+            continue
+        # a command-line value's type conversion and choices check; a
+        # store_true flag takes a JSON boolean
         try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except OSError as e:
-            raise DataError(f"cannot read config file: {e}") from None
-        except json.JSONDecodeError as e:
-            raise DataError(f"config file is not valid JSON: {e}") from None
-    section = file_cfg.get(args.command, {})
-    resolved = {}
-    for key, hard in _HARD_DEFAULTS.get(args.command, {}).items():
-        explicit = getattr(args, key, None)
-        if explicit is not None:
-            resolved[key] = explicit
-        elif key in section:
-            resolved[key] = section[key]
-        elif key.replace("_", "-") in section:
-            resolved[key] = section[key.replace("_", "-")]
-        else:
-            resolved[key] = hard
-        setattr(args, key, resolved[key])
-    for key in ("spec", "train", "name"):
-        if hasattr(args, key):
-            resolved[key] = getattr(args, key)
-    return resolved
+            if action.nargs != 0:
+                value = p._get_values(action, [str(value)])
+            elif not isinstance(value, bool):
+                raise argparse.ArgumentError(action, f"expected true or false, got {value!r}")
+        except argparse.ArgumentError as e:
+            p.error(f"{args.config}: {e}")
+        p.set_defaults(**{action.dest: value})
+    return ap.parse_args(argv)
 
 
 _COMMANDS = {
@@ -529,9 +504,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = resolve_config(args)
+        args = parse_args(argv)
+        config = {k: v for k, v in vars(args).items() if k not in ("config", "command")}
         return _COMMANDS[args.command](args, config)
     except (UnitError, pi.EnumerationTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -43,16 +43,12 @@ class ScalarFeature:
 
 @dataclass(frozen=True)
 class ScalarizeRules:
-    """Which invariants to emit and how to flag them.
+    """How to flag the emitted invariants.
 
     negative_exponent_overrides maps a produced feature name (e.g. "g.q") to
     an explicit allow_negative_exponent value, overriding the defaults.
     """
 
-    include_scalars: bool = True
-    include_norms: bool = True
-    include_dots: bool = True
-    dots_allow_negative: bool = False
     negative_exponent_overrides: Mapping[str, bool] = field(default_factory=dict)
 
     def _allow_negative(self, name: str, default: bool) -> bool:
@@ -66,37 +62,21 @@ def scalarize(
 ) -> list[ScalarFeature]:
     """Deterministic feature order: raw scalars in input order, then norms in
     vector order, then dots over pairs (i, j), i < j, in vector order."""
-    out = []
-    if rules.include_scalars:
-        for name, q in scalars:
+    out = [
+        ScalarFeature(name, q.value, q.units, 1, rules._allow_negative(name, True))
+        for name, q in scalars
+    ]
+    for v in vectors:
+        name = f"|{v.name}|"
+        norm = math.sqrt(sum(c * c for c in v.components))
+        out.append(ScalarFeature(name, norm, v.units, 1, rules._allow_negative(name, True)))
+    for i, a in enumerate(vectors):
+        for b in vectors[i + 1:]:
+            name = f"{a.name}.{b.name}"
+            dot = sum(x * y for x, y in zip(a.components, b.components))
             out.append(
-                ScalarFeature(
-                    name, q.value, q.units, 1, rules._allow_negative(name, True)
-                )
+                ScalarFeature(name, dot, a.units + b.units, 2, rules._allow_negative(name, False))
             )
-    if rules.include_norms:
-        for v in vectors:
-            name = f"|{v.name}|"
-            norm = math.sqrt(sum(c * c for c in v.components))
-            out.append(
-                ScalarFeature(name, norm, v.units, 1, rules._allow_negative(name, True))
-            )
-    if rules.include_dots:
-        n = len(vectors)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = vectors[i], vectors[j]
-                name = f"{a.name}.{b.name}"
-                dot = sum(x * y for x, y in zip(a.components, b.components))
-                out.append(
-                    ScalarFeature(
-                        name,
-                        dot,
-                        a.units + b.units,
-                        2,
-                        rules._allow_negative(name, rules.dots_allow_negative),
-                    )
-                )
     seen = set()
     for f in out:
         if f.name in seen:

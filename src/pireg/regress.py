@@ -90,19 +90,6 @@ class Dataset:
     def n(self) -> int:
         return self.rows.shape[0]
 
-    @classmethod
-    def from_quantities(cls, spec, rows, labels: Sequence[Quantity]) -> "Dataset":
-        if not labels:
-            raise ValueError("empty label list")
-        units = labels[0].units
-        for q in labels:
-            if q.units != units:
-                raise UnitMismatch(units, q.units, "dataset labels")
-        return cls(spec, np.asarray(rows, float), np.array([q.value for q in labels]), units)
-
-    def labels(self) -> list[Quantity]:
-        return [Quantity(float(v), self.label_units) for v in self.label_values]
-
 
 def save_dataset_csv(data: Dataset, path) -> None:
     """Two-line header: feature names + "label", then one unit expression per

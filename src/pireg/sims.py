@@ -146,23 +146,23 @@ def sample_pendulum_dataset(
 RIETKERK_SYSTEM = BaseUnitSystem(("l", "g", "d", "m"))
 
 _RIETKERK_FIELDS = [
-    # (name, default, unit expression)
-    ("R", 0.375, "l d^-1 m^-2"),
-    ("alpha", 0.2, "d^-1"),
-    ("k2", 5.0, "g m^-2"),
-    ("W0", 0.1, "1"),
-    ("D_u", 100.0, "m^2 d^-1"),
-    ("g_m", 0.05, "l g^-1 d^-1"),
-    ("k1", 5.0, "l m^-2"),
-    ("delta_w", 0.2, "d^-1"),
-    ("D_w", 0.1, "m^2 d^-1"),
-    ("c", 20.0, "g l^-1"),
-    ("delta_v", 0.25, "d^-1"),
-    ("D_v", 0.1, "m^2 d^-1"),
-    ("T", 200.0, "d"),
-    ("dt", 0.005, "d"),
-    ("L", 200.0, "m"),
-    ("dl", 2.0, "m"),
+    # (name, unit expression); the defaults are RietkerkParams'
+    ("R", "l d^-1 m^-2"),
+    ("alpha", "d^-1"),
+    ("k2", "g m^-2"),
+    ("W0", "1"),
+    ("D_u", "m^2 d^-1"),
+    ("g_m", "l g^-1 d^-1"),
+    ("k1", "l m^-2"),
+    ("delta_w", "d^-1"),
+    ("D_w", "m^2 d^-1"),
+    ("c", "g l^-1"),
+    ("delta_v", "d^-1"),
+    ("D_v", "m^2 d^-1"),
+    ("T", "d"),
+    ("dt", "d"),
+    ("L", "m"),
+    ("dl", "m"),
 ]
 
 # the first 12 vary between runs; T, dt, L, dl are integration parameters
@@ -195,7 +195,7 @@ class RietkerkParams:
     dl: float = 2.0
 
     def feature_row(self) -> list[float]:
-        return [getattr(self, name) for name, _, _ in _RIETKERK_FIELDS]
+        return [getattr(self, name) for name, _ in _RIETKERK_FIELDS]
 
 
 def rietkerk_spec() -> FeatureSpec:
@@ -204,7 +204,7 @@ def rietkerk_spec() -> FeatureSpec:
     has 12 dimensions."""
     feats = tuple(
         FeatureDef(name, parse_unit(expr, RIETKERK_SYSTEM))
-        for name, _, expr in _RIETKERK_FIELDS
+        for name, expr in _RIETKERK_FIELDS
     )
     return FeatureSpec(feats, RIETKERK_SYSTEM)
 
@@ -514,7 +514,7 @@ def _rietkerk_draw(seed: int, run_idx: int, scale: GridScale):
     defaults = RietkerkParams()
     values = {
         name: getattr(defaults, name) * factors[i]
-        for i, (name, _, _) in enumerate(_RIETKERK_FIELDS[:_N_PHYSICAL])
+        for i, (name, _) in enumerate(_RIETKERK_FIELDS[:_N_PHYSICAL])
     }
     params = RietkerkParams(
         **values,

@@ -137,10 +137,6 @@ class BaseUnitSystem:
     def zero(self) -> UnitVector:
         return UnitVector.zero(self.k)
 
-    def base_vector(self, name: str) -> UnitVector:
-        i = self.index(name)
-        return UnitVector(tuple(1 if j == i else 0 for j in range(self.k)))
-
     def with_alias(self, name: str, definition) -> "BaseUnitSystem":
         """Return a copy with one more alias; definition is a UnitVector or expression string."""
         vec = definition if isinstance(definition, UnitVector) else parse_unit(definition, self)

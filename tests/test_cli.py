@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pireg import pi, regress, sims
-from pireg.cli import load_spec_file, main, run_rietkerk
+from pireg.cli import load_spec_file, main, parse_args, run_rietkerk
 from pireg.pi import FeatureDef, FeatureSpec
 from pireg.units import Quantity, parse_unit, si_system
 
@@ -491,7 +491,7 @@ def test_experiment_config_file_precedence(tmp_path, capsys):
                "--seed", "9", "--out", str(out)])
     assert rc == 0
     config = json.loads((out / "report.json").read_text())["config"]
-    assert config["scale"] == "paper"  # file value beats the hard default
+    assert config["scale"] == "paper"  # file value beats the parser's default
     assert config["seed"] == 9  # explicit flag beats the file
     assert config["out"] == str(out)
 
@@ -500,6 +500,92 @@ def test_experiment_unknown_config_file_is_data_error(tmp_path):
     rc = main(["--config", str(tmp_path / "nope.json"), "experiment", "blackbody",
                "--out", str(tmp_path / "x")])
     assert rc == 3
+
+
+# a config file that is not an object, or whose section is not one, is a data
+# error naming the file
+@pytest.mark.parametrize("payload, message", [
+    ([1], "cfg.json: not a JSON object"),
+    ({"experiment": 5}, "cfg.json: section 'experiment' is not a JSON object"),
+], ids=["file", "section"])
+def test_config_file_not_an_object_exits_3(tmp_path, capsys, payload, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    rc = main(["--config", str(cfg), "experiment", "blackbody", "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+# a file value is checked against its flag's choices and type, exactly as the
+# same value on the command line
+@pytest.mark.parametrize("section, message", [
+    ({"scale": "huge"}, "argument --scale: invalid choice: 'huge'"),
+    ({"seed": "x"}, "argument --seed: invalid int value: 'x'"),
+], ids=["choice", "type"])
+def test_config_value_failing_its_flag_exits_2(tmp_path, capsys, section, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": section}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "experiment", "blackbody", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    flag, value = next(iter(section.items()))
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "blackbody", f"--{flag}", value])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_regress_report_config_resolved(pendulum_csvs, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"regress": {
+        "decoder-max-degree": 3, "method": "ols", "seed": 5, "no-such-flag": 1,
+    }}))
+    report = tmp_path / "report.json"
+    rc = main(["--config", str(cfg), "regress", pendulum_csvs["train"],
+               "--spec", pendulum_csvs["spec"], "--test", pendulum_csvs["test"],
+               "--decoder", "expr:k_s L^2", "--seed", "7", "--report", str(report)])
+    assert rc == 0
+    config = json.loads(report.read_text())["config"]
+    # flags first in build_parser's order, then the spec and the positional
+    assert list(config.items()) == [
+        ("test", pendulum_csvs["test"]),
+        ("features", "basis"),
+        ("method", "ols"),
+        ("ridge", 0.0),
+        ("lam", 0.0),
+        ("decoder", "expr:k_s L^2"),
+        ("decoder_max_degree", 3),
+        ("loss_scale", None),
+        ("seed", 7),
+        ("report", str(report)),
+        ("model_out", None),
+        ("spec", pendulum_csvs["spec"]),
+        ("train", pendulum_csvs["train"]),
+    ]
+
+
+@pytest.mark.parametrize("key", ["max-degree", "max_degree"])
+def test_enumerate_config_key_spellings(tmp_path, capsys, key):
+    spec = write_spec(tmp_path, two_mass_spec())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"enumerate": {key: 1, "dimensionless-only": True}}))
+    args = parse_args(["--config", str(cfg), "enumerate", spec])
+    assert vars(args) == {"config": str(cfg), "command": "enumerate", "max_degree": 1,
+                          "dimensionless_only": True, "out": None, "spec": spec}
+    assert parse_args(["--config", str(cfg), "enumerate", spec, "--max-degree", "0"]).max_degree == 0
+    assert main(["--config", str(cfg), "enumerate", spec]) == 0
+    assert "3 dimensionless monomials at max degree 1" in capsys.readouterr().out
+
+
+# --lambda stores to lam: a config key may name either
+@pytest.mark.parametrize("key", ["lambda", "lam"])
+def test_experiment_config_lambda_spellings(tmp_path, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": {key: 0.5}}))
+    assert parse_args(["--config", str(cfg), "experiment", "springy"]).lam == 0.5
 
 
 def test_committed_spec_files_in_sync():
