@@ -53,6 +53,7 @@ from .regress import (
     RegressionModel,
     fit_lasso,
     fit_monomial_model,
+    fit_monomial_models,
     fit_ols,
     load_dataset_csv,
     predict,

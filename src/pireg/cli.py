@@ -20,7 +20,7 @@ from . import pi, regress, sims
 from .intlinalg import solve_diophantine
 from .pi import FeatureSpec, Monomial, MonomialSet, SCHEMA_VERSION
 from .regress import DataError
-from .units import UnitError
+from .units import UnitError, parse_unit
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -29,24 +29,17 @@ EXIT_NOCONV = 4
 
 
 def load_spec_file(path):
-    """Read a spec JSON file; returns (spec, label_units or None)."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise DataError(f"cannot read spec file: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ValueError(f"spec file is not valid JSON: {e}") from None
-    try:
-        spec = FeatureSpec.from_json_dict(data)
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"malformed spec file: {e}") from None
-    label_units = None
-    if data.get("label_units") is not None:
-        from .units import parse_unit
-
-        label_units = parse_unit(data["label_units"], spec.system)
-    return spec, label_units
+    """(spec, label_units or None) from a spec JSON file.  DataError as
+    pi.read_json_file for a file that is not a JSON object; ValueError or
+    UnitError for a malformed spec in one."""
+    def parse(data):
+        try:
+            spec = FeatureSpec.from_json_dict(data)
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"{path}: malformed spec file: {e}") from None
+        units = data.get("label_units")
+        return spec, None if units is None else parse_unit(units, spec.system)
+    return pi.read_json_file(path, parse)
 
 
 def write_report(path, command: str, config: dict, results: dict) -> None:
@@ -100,12 +93,20 @@ def cmd_enumerate(args, config) -> int:
     return EXIT_OK
 
 
+def _int_suffix(arg: str, flag: str, form: str) -> int:
+    """The integer after arg's colon; ValueError naming flag and form if none."""
+    try:
+        return int(arg.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"{flag} {arg!r}: expected {form} with an integer") from None
+
+
 def _resolve_features(arg: str, spec: FeatureSpec) -> MonomialSet:
     if arg == "basis":
         # constant first so a full-rank spec (empty basis) still fits C * D(x)
         return [Monomial.constant(spec.d)] + pi.dimensionless_basis(spec)
     if arg.startswith("enumerate:"):
-        deg = int(arg.split(":", 1)[1])
+        deg = _int_suffix(arg, "--features", "enumerate:<deg>")
         return pi.enumerate_monomials(spec, deg, dimensionless_only=True)
     if arg.startswith("file:"):
         return pi.load_monomials(arg.split(":", 1)[1], spec)
@@ -113,8 +114,19 @@ def _resolve_features(arg: str, spec: FeatureSpec) -> MonomialSet:
 
 
 def _resolve_decoders(arg: str, spec, label_units, max_degree) -> list[Monomial]:
+    """The --decoder value's decoders; only auto, ensemble and index:<i>
+    search the decoder solutions."""
+    if arg.startswith("expr:"):
+        mono = pi.parse_monomial(arg.split(":", 1)[1], spec)
+        if pi.monomial_units(mono, spec) != label_units:
+            raise DataError("decoder expression does not carry the label units")
+        return [mono]
+    if arg.startswith("index:"):
+        i = _int_suffix(arg, "--decoder", "index:<i>")
+    elif arg not in ("auto", "ensemble"):
+        raise DataError(f"unknown --decoder value {arg!r}")
     sols = pi.decoder_solutions(spec, label_units, max_degree)
-    if arg in ("auto", "ensemble") and not sols:
+    if not sols:
         if solve_diophantine(spec.units_matrix(), label_units.exps) is None:
             raise DataError("no decoder monomial exists for the label units")
         raise DataError(
@@ -125,17 +137,9 @@ def _resolve_decoders(arg: str, spec, label_units, max_degree) -> list[Monomial]
         return [sols[0]]
     if arg == "ensemble":
         return list(sols)
-    if arg.startswith("index:"):
-        i = int(arg.split(":", 1)[1])
-        if not 0 <= i < len(sols):
-            raise DataError(f"decoder index {i} out of range ({len(sols)} solutions)")
-        return [sols[i]]
-    if arg.startswith("expr:"):
-        mono = pi.parse_monomial(arg.split(":", 1)[1], spec)
-        if pi.monomial_units(mono, spec) != label_units:
-            raise DataError("decoder expression does not carry the label units")
-        return [mono]
-    raise DataError(f"unknown --decoder value {arg!r}")
+    if not 0 <= i < len(sols):
+        raise DataError(f"decoder index {i} out of range ({len(sols)} solutions)")
+    return [sols[i]]
 
 
 def _model_summary(model, spec, top=8) -> list:
@@ -157,43 +161,36 @@ def cmd_regress(args, config) -> int:
     decoders = _resolve_decoders(args.decoder, spec, train.label_units, args.decoder_max_degree)
     loss_scale = pi.parse_monomial(args.loss_scale, spec) if args.loss_scale else None
 
-    models = []
-    noconv = False
-    for dec in decoders:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            model = regress.fit_monomial_model(
-                train,
-                features,
-                dec,
-                method=args.method,
-                ridge=args.ridge,
-                lam=args.lam,
-                loss_scale=loss_scale,
-                metadata={"seed": args.seed, "train_csv": str(args.train)},
-            )
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-            if issubclass(w.category, regress.LassoConvergenceWarning):
-                noconv = True
-        models.append(model)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        models = regress.fit_monomial_models(
+            train, features, decoders, method=args.method, ridge=args.ridge, lam=args.lam,
+            loss_scale=loss_scale, metadata={"seed": args.seed, "train_csv": str(args.train)},
+        )
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    noconv = any(issubclass(w.category, regress.LassoConvergenceWarning) for w in caught)
 
-    results = {"n_features": len(features), "n_models": len(models), "models": []}
+    # the whole ensemble scored from one train, one test and one stacked design
     scale = loss_scale or models[0].decoder
-    for model in models:
+    train_mse, train_dmse = regress.prediction_errors(models, train, scale)
+    if test is not None:
+        test_mse, test_dmse = regress.prediction_errors(models, test, scale)
+        residuals = regress.equivariance_residuals(models, test.rows[:100], n_group=100,
+                                                   seed=args.seed)
+    results = {"n_features": len(features), "n_models": len(models), "models": []}
+    for i, model in enumerate(models):
         entry = {
             "decoder": pi.format_monomial(model.decoder, spec),
-            "train_mse": regress.mse(model, train),
-            "train_dimensionless_mse": regress.dimensionless_mse(model, train, scale),
+            "train_mse": train_mse[i],
+            "train_dimensionless_mse": train_dmse[i],
             "top_weights": _model_summary(model, spec),
             "metadata": model.metadata,
         }
         if test is not None:
-            entry["test_mse"] = regress.mse(model, test)
-            entry["test_dimensionless_mse"] = regress.dimensionless_mse(model, test, scale)
-            entry["equivariance_residual"] = regress.equivariance_residual(
-                model, test.rows[:100], n_group=100, seed=args.seed
-            )
+            entry["test_mse"] = test_mse[i]
+            entry["test_dimensionless_mse"] = test_dmse[i]
+            entry["equivariance_residual"] = residuals[i]
         results["models"].append(entry)
         print(
             f"decoder {entry['decoder']}: "
@@ -303,11 +300,8 @@ def run_blackbody(seed: int, scale: str, out_dir) -> dict:
     basis = pi.dimensionless_basis(spec)
     decoders = pi.decoder_solutions(spec, data.label_units, 4)
     features = [Monomial.constant(spec.d)] + basis
-    models = [
-        regress.fit_monomial_model(train, features, dec, method="ols",
-                                   metadata={"seed": seed})
-        for dec in decoders
-    ]
+    models = regress.fit_monomial_models(train, features, decoders, method="ols",
+                                         metadata={"seed": seed})
     results = {
         "s": len(basis),
         "n_decoders": len(decoders),

@@ -371,32 +371,63 @@ class RegressionModel:
         if len(self.monomials) != len(self.weights):
             raise ValueError("one weight per monomial required")
         if self.decoder is not None:
-            dec_units = monomial_units(self.decoder, self.spec)
-            if dec_units != self.label_units:
-                raise UnitMismatch(dec_units, self.label_units, "decoder units")
+            _check_label_units(self.decoder, self.spec, self.label_units, "decoder")
 
 
-# entries of the stacked design matrix one equivariance_residual call builds
+def _check_label_units(m: Monomial, spec: FeatureSpec, label_units: UnitVector, what: str):
+    """UnitMismatch naming `what` unless m carries label_units."""
+    units = monomial_units(m, spec)
+    if units != label_units:
+        raise UnitMismatch(units, label_units, f"{what} units")
+
+
+def _label_unit_columns(data: Dataset, monomials: Sequence[Monomial], what: str) -> np.ndarray:
+    """(N, m) values on data's rows of monomials that must carry its label
+    units: UnitMismatch, or ZeroScale where one evaluates to zero, naming
+    `what` otherwise."""
+    for m in monomials:
+        _check_label_units(m, data.spec, data.label_units, what)
+    values = build_design_matrix(data.rows, monomials)
+    if np.any(values == 0.0):
+        raise ZeroScale(f"{what} evaluated to zero on a row")
+    return values
+
+
+# entries of the stacked design matrix plus one prediction column per model
+# that one equivariance_residuals stack builds
 _STACK_ENTRIES = 2**22
 
 
-def _predict_blocks(model: RegressionModel, rows: np.ndarray, blocks: int) -> np.ndarray:
-    """Predictions for `blocks` equal row blocks stacked in one (blocks * N, d)
-    array, from one design matrix and one decoder column.  The stacked
-    matmul applies the weights to each block's contiguous (N, p) slice, the
-    product a one-block call forms, so each block's predictions equal
-    predict_rows on it bit for bit."""
-    X = build_design_matrix(rows, model.monomials)
+def _predict_blocks(
+    models: Sequence[RegressionModel], rows: np.ndarray, blocks: int
+) -> np.ndarray:
+    """(len(models), blocks * N) predictions of models sharing one monomial
+    set, spec and label units, for `blocks` equal row blocks stacked in one
+    (blocks * N, d) array, from one design matrix and one matrix of decoder
+    columns.  The stacked matmul applies a model's weights to each block's
+    contiguous (N, p) slice, the product a one-block call forms, and a
+    design entry does not depend on the other rows or monomials, so each
+    model's predictions on each block equal predict_rows on it bit for bit.
+    ValueError when the models differ in monomials, spec or label units."""
+    first = models[0]
+    if any(m.monomials != first.monomials or (m.spec, m.label_units)
+           != (first.spec, first.label_units) for m in models[1:]):
+        raise ValueError("models must share one monomial set, spec and label units")
+    X = build_design_matrix(rows, first.monomials)
     X = X.reshape(blocks, len(X) // blocks, X.shape[1])
-    eta = (X @ np.asarray(model.weights, dtype=float)).ravel() + model.intercept
-    if model.decoder is None:
-        return eta
-    return eta * build_design_matrix(rows, [model.decoder])[:, 0]
+    decoders = [m.decoder for m in models if m.decoder is not None]
+    dcols = iter(build_design_matrix(rows, decoders).T if decoders else ())
+    preds = np.empty((len(models), len(rows)))
+    for model, out in zip(models, preds):
+        out[:] = (X @ np.asarray(model.weights, dtype=float)).ravel() + model.intercept
+        if model.decoder is not None:
+            out *= next(dcols)
+    return preds
 
 
 def predict_rows(model: RegressionModel, rows) -> np.ndarray:
     """Predicted label values for an (N, d) array of feature rows."""
-    return _predict_blocks(model, np.asarray(rows, dtype=float), 1)
+    return _predict_blocks([model], np.asarray(rows, dtype=float), 1)[0]
 
 
 def predict(model: RegressionModel, x) -> Quantity:
@@ -407,89 +438,89 @@ def predict(model: RegressionModel, x) -> Quantity:
 # ---------------------------------------------------------------------------
 # training driver
 
-def fit_monomial_model(
+def fit_monomial_models(
     data: Dataset,
     monomials: MonomialSet | Sequence[Monomial],
-    decoder: Monomial | None,
+    decoders: Sequence[Monomial | None],
     method: str = "ols",
     ridge: float = 0.0,
     lam: float = 0.0,
     loss_scale: Monomial | None = None,
     max_sweeps: int = 1000,
     metadata: dict | None = None,
-) -> RegressionModel:
-    """Fit weights over monomial features, training in dimensionless space.
+) -> list[RegressionModel]:
+    """One model per decoder over one monomial set, each trained in
+    dimensionless space.
 
     With a decoder D the target is eta_t = y_t / D(x_t); a loss_scale
     monomial S (same units as the label, default S = D) turns the objective
-    into sum_t ((y_hat_t - y_t)/S(x_t))^2 via row weights D_t/S_t.  Without
-    a decoder the fit is direct on the dimensional label (loss_scale, when
-    given, again weights rows).
+    into sum_t ((y_hat_t - y_t)/S(x_t))^2 via row weights D_t/S_t.  A
+    decoder None fits directly on the dimensional label (loss_scale, when
+    given, again weights rows).  The feature design, the decoder columns and
+    the loss-scale column are each evaluated once; since a design entry does
+    not depend on the other monomials, each model equals its own
+    fit_monomial_model call bit for bit.
     """
-    monomials = as_monomial_set(monomials, data.spec.d)
-    X = build_design_matrix(data.rows, monomials)
-    if decoder is not None:
-        dec_units = monomial_units(decoder, data.spec)
-        if dec_units != data.label_units:
-            raise UnitMismatch(dec_units, data.label_units, "decoder units")
-        dvals = build_design_matrix(data.rows, [decoder])[:, 0]
-        if np.any(dvals == 0.0):
-            raise ZeroScale("decoder evaluated to zero on a training row")
-        eta = data.label_values / dvals
-    else:
-        dvals = np.ones(data.n)
-        eta = data.label_values.copy()
-    if loss_scale is not None:
-        s_units = monomial_units(loss_scale, data.spec)
-        if s_units != data.label_units:
-            raise UnitMismatch(s_units, data.label_units, "loss scale units")
-        svals = build_design_matrix(data.rows, [loss_scale])[:, 0]
-        if np.any(svals == 0.0):
-            raise ZeroScale("loss scale evaluated to zero on a training row")
-        rw = dvals / svals
-        X = X * rw[:, None]
-        eta = eta * rw
-    meta = dict(metadata or {})
-    meta.update({"method": method, "n_train": data.n})
-    intercept = 0.0
-    if method == "ols":
-        fit = fit_ols(X, eta, ridge=ridge)
-        weights = fit.weights
-        meta.update({"ridge": ridge, "rank": fit.rank, "rank_deficient": fit.rank_deficient})
-    elif method == "lasso":
-        fit = fit_lasso(X, eta, lam, max_sweeps=max_sweeps)
-        weights = fit.weights
-        intercept = fit.intercept
-        meta.update({"lambda": lam, "converged": fit.converged, "sweeps": fit.sweeps,
-                     "duality_gap": fit.gap})
-    else:
+    if method not in ("ols", "lasso"):
         raise ValueError(f"unknown method {method!r}")
-    return RegressionModel(
-        data.spec,
-        monomials,
-        tuple(float(w) for w in weights),
-        decoder,
-        data.label_units,
-        intercept,
-        meta,
-    )
+    monomials, decoders = as_monomial_set(monomials, data.spec.d), list(decoders)
+    X = build_design_matrix(data.rows, monomials)
+    live = [dec for dec in decoders if dec is not None]
+    dcols = iter(_label_unit_columns(data, live, "decoder").T if live else ())
+    if loss_scale is not None:
+        svals = _label_unit_columns(data, [loss_scale], "loss scale")[:, 0]
+    models = []
+    for decoder in decoders:
+        dvals = np.ones(data.n) if decoder is None else next(dcols)
+        eta = data.label_values / dvals
+        Xw = X
+        if loss_scale is not None:
+            rw = dvals / svals
+            Xw = X * rw[:, None]
+            eta = eta * rw
+        meta = dict(metadata or {})
+        meta.update({"method": method, "n_train": data.n})
+        intercept = 0.0
+        if method == "ols":
+            fit = fit_ols(Xw, eta, ridge=ridge)
+            meta.update({"ridge": ridge, "rank": fit.rank, "rank_deficient": fit.rank_deficient})
+        else:
+            fit = fit_lasso(Xw, eta, lam, max_sweeps=max_sweeps)
+            intercept = fit.intercept
+            meta.update({"lambda": lam, "converged": fit.converged, "sweeps": fit.sweeps,
+                         "duality_gap": fit.gap})
+        models.append(RegressionModel(data.spec, monomials, tuple(float(w) for w in fit.weights),
+                                      decoder, data.label_units, intercept, meta))
+    return models
+
+
+def fit_monomial_model(data: Dataset, monomials, decoder: Monomial | None,
+                       **options) -> RegressionModel:
+    """fit_monomial_models for one decoder, with the same options."""
+    return fit_monomial_models(data, monomials, [decoder], **options)[0]
+
+
+def prediction_errors(
+    models: Sequence[RegressionModel], data: Dataset, scale: Monomial | None = None
+) -> tuple[list[float], list[float] | None]:
+    """Each model's mean squared error on data and, given a scale monomial S
+    with the label units, its mean of ((pred - label)/S(x))^2 (else None),
+    from one design matrix for all models."""
+    resid = _predict_blocks(models, data.rows, 1) - data.label_values
+    errors = [float(np.mean(r * r)) for r in resid]
+    if scale is None:
+        return errors, None
+    resid /= _label_unit_columns(data, [scale], "loss scale")[:, 0]
+    return errors, [float(np.mean(r * r)) for r in resid]
 
 
 def mse(model: RegressionModel, data: Dataset) -> float:
-    resid = predict_rows(model, data.rows) - data.label_values
-    return float(np.mean(resid * resid))
+    return prediction_errors([model], data)[0][0]
 
 
 def dimensionless_mse(model: RegressionModel, data: Dataset, scale: Monomial) -> float:
     """Mean of ((pred - label)/S(x))^2 over the dataset."""
-    s_units = monomial_units(scale, data.spec)
-    if s_units != data.label_units:
-        raise UnitMismatch(s_units, data.label_units, "loss scale units")
-    svals = build_design_matrix(data.rows, [scale])[:, 0]
-    if np.any(svals == 0.0):
-        raise ZeroScale("loss scale evaluated to zero")
-    resid = (predict_rows(model, data.rows) - data.label_values) / svals
-    return float(np.mean(resid * resid))
+    return prediction_errors([model], data, scale)[1][0]
 
 
 def pearson(model: RegressionModel, data: Dataset) -> float:
@@ -499,47 +530,58 @@ def pearson(model: RegressionModel, data: Dataset) -> float:
     return float(pc[0, 1])
 
 
-def equivariance_residual(
-    model: RegressionModel,
+def equivariance_residuals(
+    models: Sequence[RegressionModel],
     rows,
     n_group: int = 100,
     seed: int = 0,
     low: float = 0.1,
     high: float = 10.0,
-) -> float:
-    """Max relative deviation of predict(g.x) vs g.predict(x) over random
-    group elements; 0 up to float roundoff for any decoder-backed model.
+) -> list[float]:
+    """Each model's max relative deviation of predict(g.x) vs g.predict(x)
+    over random group elements; 0 up to float roundoff for any
+    decoder-backed model.
 
     The rows and their n_group rescaled copies are stacked and predicted
-    with one design matrix and one decoder column per call of
-    _predict_blocks, each call covering at most _STACK_ENTRIES matrix
-    entries; every copy's predictions equal predict_rows on it bit for bit,
-    so the residual is that of one predict_rows call per copy."""
+    for every model with one design matrix and one matrix of decoder
+    columns per call of _predict_blocks, each call covering at most
+    _STACK_ENTRIES entries; every copy's predictions equal predict_rows on
+    it bit for bit, so each residual is that of one predict_rows call per
+    copy."""
     rows = np.asarray(rows, dtype=float)
+    first = models[0]
     rng = np.random.default_rng(seed)
-    U = np.array([f.units.exps for f in model.spec.features], dtype=float)
-    v = np.array(model.label_units.exps, dtype=float)
+    U = np.array([f.units.exps for f in first.spec.features], dtype=float)
+    v = np.array(first.label_units.exps, dtype=float)
     copies = [rows]
     label_scales = []
     for _ in range(n_group):
-        g = rng.uniform(low, high, size=model.spec.k)
+        g = rng.uniform(low, high, size=first.spec.k)
         feat_scale = np.prod(g[None, :] ** (-U), axis=1)
         label_scales.append(float(np.prod(g ** (-v))))
         copies.append(rows * feat_scale[None, :])
-    per_call = max(1, _STACK_ENTRIES // max(1, rows.shape[0] * len(model.monomials)))
+    width = len(first.monomials) + len(models)
+    per_call = max(1, _STACK_ENTRIES // max(1, rows.shape[0] * width))
     preds = []
     for start in range(0, len(copies), per_call):
         chunk = copies[start:start + per_call]
-        preds += np.split(_predict_blocks(model, np.concatenate(chunk), len(chunk)), len(chunk))
-    base = preds[0]
-    worst = 0.0
-    for lhs, label_scale in zip(preds[1:], label_scales):
-        rhs = base * label_scale
+        preds.append(_predict_blocks(models, np.concatenate(chunk), len(chunk))
+                     .reshape(len(models), len(chunk), len(rows)))
+    label_scales = np.array(label_scales)[:, None]
+    residuals = []
+    for pred in np.concatenate(preds, axis=1):
+        lhs, rhs = pred[1:], pred[0] * label_scales
         denom = np.maximum(np.abs(lhs) + np.abs(rhs), 1e-300)
-        dev = float(np.max(np.abs(lhs - rhs) / denom))
-        if dev > worst:
-            worst = dev
-    return worst
+        # worst copy, skipping a copy whose deviation is NaN
+        dev = np.max(np.abs(lhs - rhs) / denom, axis=1)
+        residuals.append(float(np.fmax.reduce(dev, initial=0.0)))
+    return residuals
+
+
+def equivariance_residual(model: RegressionModel, rows, n_group: int = 100, seed: int = 0,
+                          low: float = 0.1, high: float = 10.0) -> float:
+    """equivariance_residuals for one model."""
+    return equivariance_residuals([model], rows, n_group, seed, low, high)[0]
 
 
 def rescale_rows(g: GroupElement, rows, spec: FeatureSpec) -> np.ndarray:

@@ -61,12 +61,25 @@ def test_units_check_empty_spec_is_spec_error(tmp_path):
     assert main(["units-check", str(path)]) == 2
 
 
-def test_units_check_malformed_spec_is_spec_error(tmp_path):
+def test_units_check_malformed_spec_is_spec_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"features": [{"name": "x"}]}))  # no base_units
     assert main(["units-check", str(path)]) == 2
-    path.write_text("{not json")
-    assert main(["units-check", str(path)]) == 2
+    assert "bad.json: malformed spec file: 'base_units'" in capsys.readouterr().err
+    path.write_text(json.dumps({"base_units": ["kg"], "features": [{"name": "x", "units": "m"}]}))
+    assert main(["units-check", str(path)]) == 2  # a unit outside the system
+
+
+# a spec file that is not JSON, or not an object, is a data error naming the file
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "bad.json: not valid JSON: Expecting property name"),
+    ("[1, 2]", "bad.json: not a JSON object"),
+], ids=["not-json", "not-object"])
+def test_units_check_spec_file_not_an_object_exits_3(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["units-check", str(path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_units_check_missing_file_is_data_error(tmp_path):
@@ -207,6 +220,24 @@ def test_regress_decoder_errors(pendulum_csvs):
     assert main(args + ["--decoder", "expr:m L"]) == 3  # not energy units
     assert main(args + ["--decoder", "index:999"]) == 3
     assert main(args + ["--decoder", "bogus"]) == 3
+
+
+def test_regress_decoder_expr_skips_the_decoder_search(tmp_path, capsys):
+    # sweeping the Rietkerk decoder box is refused as too large, but an
+    # expr: decoder is used without searching
+    spec, label_units = load_spec_file(SPECS / "rietkerk.json")
+    rows = np.random.default_rng(5).uniform(0.5, 2.0, (30, spec.d))
+    labels = 0.7 * rows[:, spec.index("k2")]
+    regress.save_dataset_csv(regress.Dataset(spec, rows, labels, label_units), tmp_path / "rk.csv")
+    args = ["regress", str(tmp_path / "rk.csv"), "--spec", str(SPECS / "rietkerk.json"),
+            "--features", "basis", "--report", str(tmp_path / "report.json")]
+    assert main(args + ["--decoder", "expr:k2"]) == 0
+    entry = json.loads((tmp_path / "report.json").read_text())["results"]["models"][0]
+    assert entry["decoder"] == "k2"
+    assert entry["train_dimensionless_mse"] <= 1e-20
+    for decoder in ("auto", "index:0"):
+        assert main(args + ["--decoder", decoder]) == 2
+        assert "enumeration would sweep" in capsys.readouterr().err
 
 
 def test_regress_planck_constant_fit(tmp_path, capsys):
@@ -517,24 +548,38 @@ def test_config_file_not_an_object_exits_3(tmp_path, capsys, payload, message):
     assert not (tmp_path / "x").exists()
 
 
+def exit_code(argv) -> int:
+    """main's return code, or the code of the SystemExit an argparse error raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 # a file value is checked against its flag's choices and type, exactly as the
-# same value on the command line
-@pytest.mark.parametrize("section, message", [
-    ({"scale": "huge"}, "argument --scale: invalid choice: 'huge'"),
-    ({"seed": "x"}, "argument --seed: invalid int value: 'x'"),
-], ids=["choice", "type"])
-def test_config_value_failing_its_flag_exits_2(tmp_path, capsys, section, message):
+# same value on the command line; the number in an enumerate:<deg> or
+# index:<i> value must be an integer
+@pytest.mark.parametrize("command, section, message", [
+    ("experiment", {"scale": "huge"}, "argument --scale: invalid choice: 'huge'"),
+    ("experiment", {"seed": "x"}, "argument --seed: invalid int value: 'x'"),
+    ("regress", {"features": "enumerate:x"},
+     "--features 'enumerate:x': expected enumerate:<deg> with an integer"),
+    ("regress", {"decoder": "index:1.5"},
+     "--decoder 'index:1.5': expected index:<i> with an integer"),
+], ids=["choice", "type", "features-degree", "decoder-index"])
+def test_config_value_failing_its_flag_exits_2(pendulum_csvs, tmp_path, capsys, command,
+                                               section, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": section}))
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "experiment", "blackbody", "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
+    cfg.write_text(json.dumps({command: section}))
+    out = tmp_path / "x"
+    argv = {"experiment": ["experiment", "blackbody", "--out", str(out)],
+            "regress": ["regress", pendulum_csvs["train"], "--spec", pendulum_csvs["spec"],
+                        "--report", str(out)]}[command]
+    assert exit_code(["--config", str(cfg)] + argv) == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
+    assert not out.exists()
     flag, value = next(iter(section.items()))
-    with pytest.raises(SystemExit) as exc:
-        main(["experiment", "blackbody", f"--{flag}", value])
-    assert exc.value.code == 2
+    assert exit_code(argv + [f"--{flag}", value]) == 2
     assert message in capsys.readouterr().err
 
 

@@ -13,6 +13,7 @@ from pireg.pi import (
     Monomial,
     NonFinite,
     PoleAtZero,
+    decoder_solutions,
     enumerate_monomials,
     monomial_units,
     parse_monomial,
@@ -28,8 +29,10 @@ from pireg.regress import (
     build_design_matrix,
     dimensionless_mse,
     equivariance_residual,
+    equivariance_residuals,
     fit_lasso,
     fit_monomial_model,
+    fit_monomial_models,
     fit_ols,
     lasso_lambda_max,
     load_dataset_csv,
@@ -37,6 +40,7 @@ from pireg.regress import (
     mse,
     predict,
     predict_rows,
+    prediction_errors,
     rescale_rows,
     save_dataset_csv,
     save_model,
@@ -643,9 +647,22 @@ def test_equivariance_residual_matches_per_group_oracle(monkeypatch):
         assert equivariance_residual(model, rows, seed=seed) == per_group_equivariance_oracle(
             model, rows, seed=seed)
     assert per_group_equivariance_oracle(baseline, rrows, seed=3) > 1e-3
-    # stacks of at most 7 copies: 15 design-matrix calls, the last of 3 copies
-    monkeypatch.setattr(regress, "_STACK_ENTRIES", 7 * 100 * 286)
+    # models sharing the OLS monomial set, one without a decoder: one stack
+    # for all gives each model's own residual
+    rng = np.random.default_rng(4)
+    shared = [ols] + [RegressionModel(spec, features, tuple(rng.normal(size=286)), dec, JOULE,
+                                      intercept=0.25)
+                      for dec in list(decoder_solutions(spec, JOULE, 2)[:2]) + [None]]
+    oracle = [per_group_equivariance_oracle(m, points, seed=5) for m in shared]
+    assert equivariance_residuals(shared, points, seed=5) == oracle
+    assert oracle[-1] > 1e-3
+    # stacks of at most 7 copies of one model: 15 stacks, the last of 3
+    # copies; the four models share stacks of at most 6
+    monkeypatch.setattr(regress, "_STACK_ENTRIES", 7 * 100 * (286 + 1))
     assert equivariance_residual(ols, points) == per_group_equivariance_oracle(ols, points)
+    assert equivariance_residuals(shared, points, seed=5) == oracle
+    with pytest.raises(ValueError, match="share one monomial set"):
+        equivariance_residuals([ols, lasso], points)
 
 
 def test_decoder_units_checked_at_construction():
@@ -692,6 +709,60 @@ def test_fit_monomial_model_loss_scale_weighting():
     assert monomial_units(scale, data.spec) == JOULE
     other = fit_monomial_model(data, monos, decoder, method="ols", loss_scale=scale)
     assert not np.allclose(plain.weights, other.weights)
+
+
+def shared_fit_cases():
+    data = small_dataset(64, seed=19)
+    spec = data.spec
+    monos = enumerate_monomials(spec, 1, dimensionless_only=True)
+    decoders = list(decoder_solutions(spec, JOULE, 2)[:3]) + [None]
+    scale = parse_monomial("m |g| L", spec)
+    return data, decoders, {
+        "ols": (monos, {}),
+        "lasso": (monos, {"method": "lasso", "lam": 1e-3, "max_sweeps": 50}),
+        "loss-scale": (monos, {"loss_scale": scale}),
+        "lasso-loss-scale": (monos, {"method": "lasso", "lam": 1e-3, "loss_scale": scale}),
+        "ridge": (monos, {"ridge": 1e-3}),
+        # every monomial twice: a rank-deficient design
+        "rank-deficient": (monos + monos, {"metadata": {"seed": 4}}),
+    }
+
+
+@pytest.mark.parametrize("case", ["ols", "lasso", "loss-scale", "lasso-loss-scale", "ridge",
+                                  "rank-deficient"])
+def test_fit_monomial_models_equal_one_decoder_fits(case):
+    data, decoders, cases = shared_fit_cases()
+    monos, options = cases[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", (RankDeficientWarning, LassoConvergenceWarning))
+        models = fit_monomial_models(data, monos, decoders, **options)
+        singles = [fit_monomial_model(data, monos, dec, **options) for dec in decoders]
+    assert len(models) == len(decoders)
+    for model, single, dec in zip(models, singles, decoders):
+        assert model.decoder == dec
+        assert np.array(model.weights).tobytes() == np.array(single.weights).tobytes()
+        assert model.intercept == single.intercept
+        assert model.metadata == single.metadata
+    if case == "rank-deficient":
+        assert all(m.metadata["rank_deficient"] and m.metadata["seed"] == 4 for m in models)
+    assert len({np.array(m.weights).tobytes() for m in models}) == len(models)
+
+
+def test_list_forms_equal_the_one_model_calls():
+    data, decoders, cases = shared_fit_cases()
+    models = fit_monomial_models(data, cases["ols"][0], decoders)
+    scale = parse_monomial("k_s L^2", data.spec)
+    errors, scaled = prediction_errors(models, data, scale)
+    assert errors == [mse(m, data) for m in models]
+    assert scaled == [dimensionless_mse(m, data, scale) for m in models]
+    assert prediction_errors(models, data) == (errors, None)
+    residuals = equivariance_residuals(models, data.rows[:20], n_group=30, seed=2)
+    assert residuals == [equivariance_residual(m, data.rows[:20], n_group=30, seed=2)
+                         for m in models]
+    assert max(residuals[:-1]) <= 1e-10 < residuals[-1]
+    other = fit_monomial_model(data, cases["ols"][0][1:], decoders[0])
+    with pytest.raises(ValueError, match="share one monomial set"):
+        prediction_errors(models + [other], data)
 
 
 def test_fit_monomial_model_decoder_unit_mismatch():
