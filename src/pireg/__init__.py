@@ -29,7 +29,7 @@ from .intlinalg import (
     smith_normal_form,
     solve_diophantine,
 )
-from .geometry import ScalarFeature, ScalarizeRules, VectorFeature, scalarize
+from .geometry import invariant_rows, scalarize
 from .pi import (
     FeatureDef,
     FeatureSpec,

@@ -115,12 +115,10 @@ def _resolve_features(arg: str, spec: FeatureSpec) -> MonomialSet:
 
 def _resolve_decoders(arg: str, spec, label_units, max_degree) -> list[Monomial]:
     """The --decoder value's decoders; only auto, ensemble and index:<i>
-    search the decoder solutions."""
+    search the decoder solutions.  An expr: decoder's units are checked
+    where it is fit, by pi.require_units."""
     if arg.startswith("expr:"):
-        mono = pi.parse_monomial(arg.split(":", 1)[1], spec)
-        if pi.monomial_units(mono, spec) != label_units:
-            raise DataError("decoder expression does not carry the label units")
-        return [mono]
+        return [pi.parse_monomial(arg.split(":", 1)[1], spec)]
     if arg.startswith("index:"):
         i = _int_suffix(arg, "--decoder", "index:<i>")
     elif arg not in ("auto", "ensemble"):

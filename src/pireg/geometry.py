@@ -1,85 +1,58 @@
 """Reduce scalar + 3-vector inputs to rotation-invariant scalar features.
 
 The invariant scalars of a list of vectors under simultaneous rotation (and
-reflection) are generated by norms and pairwise inner products, so scalarize
-emits: the raw scalars, one norm per vector, and one dot per unordered pair.
-Dot products get degree weight 2 (they are bilinear in the inputs) and by
-default may not be raised to negative powers, since they pass through zero;
-norms and raw scalars default to weight 1 with negative powers allowed.
+reflection) are generated by norms and pairwise inner products, so the
+features are: the raw scalars, one norm per vector, and one dot per
+unordered pair.  scalarize gives their descriptors and invariant_rows their
+values, both in that order.  Dot products get degree weight 2 (they are
+bilinear in the inputs) and by default may not be raised to negative
+powers, since they pass through zero; norms and raw scalars default to
+weight 1 with negative powers allowed.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Mapping, Sequence
 
-from .units import Quantity, UnitVector
+import numpy as np
+
+from .pi import FeatureDef
+from .units import UnitVector
 
 
 class DuplicateName(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class VectorFeature:
-    name: str
-    components: tuple[float, float, float]
-    units: UnitVector
-
-    def __post_init__(self):
-        if len(self.components) != 3:
-            raise ValueError(f"vector feature {self.name!r} must have 3 components")
-
-
-@dataclass(frozen=True)
-class ScalarFeature:
-    name: str
-    value: float
-    units: UnitVector
-    degree_weight: int = 1
-    allow_negative_exponent: bool = True
-
-
-@dataclass(frozen=True)
-class ScalarizeRules:
-    """How to flag the emitted invariants.
-
-    negative_exponent_overrides maps a produced feature name (e.g. "g.q") to
-    an explicit allow_negative_exponent value, overriding the defaults.
-    """
-
-    negative_exponent_overrides: Mapping[str, bool] = field(default_factory=dict)
-
-    def _allow_negative(self, name: str, default: bool) -> bool:
-        return bool(self.negative_exponent_overrides.get(name, default))
-
-
 def scalarize(
-    scalars: Sequence[tuple[str, Quantity]],
-    vectors: Sequence[VectorFeature],
-    rules: ScalarizeRules = ScalarizeRules(),
-) -> list[ScalarFeature]:
-    """Deterministic feature order: raw scalars in input order, then norms in
-    vector order, then dots over pairs (i, j), i < j, in vector order."""
-    out = [
-        ScalarFeature(name, q.value, q.units, 1, rules._allow_negative(name, True))
-        for name, q in scalars
-    ]
-    for v in vectors:
-        name = f"|{v.name}|"
-        norm = math.sqrt(sum(c * c for c in v.components))
-        out.append(ScalarFeature(name, norm, v.units, 1, rules._allow_negative(name, True)))
-    for i, a in enumerate(vectors):
-        for b in vectors[i + 1:]:
-            name = f"{a.name}.{b.name}"
-            dot = sum(x * y for x, y in zip(a.components, b.components))
-            out.append(
-                ScalarFeature(name, dot, a.units + b.units, 2, rules._allow_negative(name, False))
-            )
+    scalars: Sequence[tuple[str, UnitVector]],
+    vectors: Sequence[tuple[str, UnitVector]],
+    negative_exponents: Mapping[str, bool] = {},
+) -> list[FeatureDef]:
+    """FeatureDefs of the invariants of named scalars and vectors, in
+    invariant_rows' column order: raw scalars in input order, then norms
+    "|v|" in vector order, then dots "a.b" over pairs (i, j), i < j, in
+    vector order.  negative_exponents maps a feature name (e.g. "g.q") to
+    its allow_negative_exponent, overriding the defaults.  DuplicateName
+    when two features share a name."""
+    named = [(name, units, 1, True) for name, units in scalars]
+    named += [(f"|{name}|", units, 1, True) for name, units in vectors]
+    named += [(f"{a}.{b}", ua + ub, 2, False) for (a, ua), (b, ub) in combinations(vectors, 2)]
     seen = set()
-    for f in out:
-        if f.name in seen:
-            raise DuplicateName(f.name)
-        seen.add(f.name)
-    return out
+    for name, *_ in named:
+        if name in seen:
+            raise DuplicateName(name)
+        seen.add(name)
+    return [FeatureDef(name, units, weight, bool(negative_exponents.get(name, negative)))
+            for name, units, weight, negative in named]
+
+
+def invariant_rows(scalars: Sequence[np.ndarray], vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """(N, d) values of the invariants scalarize describes, for N samples of
+    each scalar (shape (N,)) and each vector (shape (N, 3)): the scalars,
+    then np.linalg.norm of each vector, then the row-wise dot of each pair
+    (i, j), i < j."""
+    norms = [np.linalg.norm(v, axis=1) for v in vectors]
+    dots = [np.einsum("ij,ij->i", a, b) for a, b in combinations(vectors, 2)]
+    return np.column_stack([*scalars, *norms, *dots])

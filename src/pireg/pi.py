@@ -24,14 +24,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import ScalarFeature
 from .intlinalg import IntMatrix, adjugate, det, nonsingular_minor, nullspace_basis
 from .units import (
     BaseUnitSystem,
     Quantity,
+    UnitMismatch,
     UnitVector,
+    format_product,
     format_unit,
     parse_unit,
+    product_factors,
 )
 
 SCHEMA_VERSION = 1
@@ -116,18 +118,6 @@ class FeatureSpec:
 
     def weights(self) -> tuple[int, ...]:
         return tuple(f.degree_weight for f in self.features)
-
-    @classmethod
-    def from_scalar_features(
-        cls, feats: Sequence[ScalarFeature], system: BaseUnitSystem
-    ) -> "FeatureSpec":
-        return cls(
-            tuple(
-                FeatureDef(f.name, f.units, f.degree_weight, f.allow_negative_exponent)
-                for f in feats
-            ),
-            system,
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -266,43 +256,40 @@ def degree(m: Monomial, spec: FeatureSpec) -> int:
 
 
 def monomial_units(m: Monomial, spec: FeatureSpec) -> UnitVector:
-    return UnitVector(tuple(_unit_rows(as_monomial_set([m], spec.d), spec)[0]))
+    return UnitVector(tuple(_unit_rows(as_monomial_set([m], spec.d), spec)[0].tolist()))
 
 
-def format_monomial(m: Monomial, spec: FeatureSpec, with_coeff: bool = False) -> str:
-    parts = []
-    for name, e in zip(spec.names(), m.exps):
-        if e == 1:
-            parts.append(name)
-        elif e != 0:
-            parts.append(f"{name}^{e}")
-    body = " ".join(parts) if parts else "1"
-    if with_coeff:
-        return f"{m.coeff:g} * {body}"
-    return body
+def require_units(monomials: MonomialSet | Sequence[Monomial], spec: FeatureSpec,
+                  target: UnitVector, what: str) -> None:
+    """The one check that monomials carry the target units: UnitMismatch
+    naming `what`, the first monomial that does not and both unit
+    expressions, e.g. "the label and decoder 'm L' carry different units:
+    kg m^2 s^-2 vs kg m".  A sequence of Monomial is stacked first."""
+    monomials = as_monomial_set(monomials, spec.d)
+    expected = format_unit(target, spec.system)
+    units = _unit_rows(monomials, spec)
+    wrong = np.flatnonzero(np.any(units != np.array(target.exps, dtype=np.int64), axis=1))
+    if len(wrong):
+        j = int(wrong[0])
+        raise UnitMismatch(expected, format_product(spec.system.names, units[j].tolist()),
+                           f"{what} {format_monomial(monomials[j], spec)!r}")
+
+
+def format_monomial(m: Monomial, spec: FeatureSpec) -> str:
+    """format_product over the spec's feature names, e.g. "k_s L^2"."""
+    return format_product(spec.names(), m.exps)
 
 
 def parse_monomial(expr: str, spec: FeatureSpec) -> Monomial:
-    """Parse "k_s L^2" style products over feature names (same grammar as
-    unit expressions, names drawn from the spec)."""
+    """Parse "k_s L^2" style products over feature names: units.product_factors'
+    grammar, so MalformedExponent for a bad exponent; ValueError for a name
+    that is not a feature."""
     exps = [0] * spec.d
-    expr = expr.strip()
-    if expr in ("", "1"):
-        return Monomial(tuple(exps))
-    for token in expr.split():
-        name, sep, exp_str = token.partition("^")
-        if sep:
-            try:
-                e = int(exp_str)
-            except ValueError:
-                raise ValueError(f"malformed exponent in monomial token {token!r}") from None
-        else:
-            e = 1
+    for name, e in product_factors(expr):
         try:
-            i = spec.index(name)
+            exps[spec.index(name)] += e
         except KeyError:
             raise ValueError(f"unknown feature {name!r} in monomial expression") from None
-        exps[i] += e
     return Monomial(tuple(exps))
 
 
@@ -562,8 +549,9 @@ def apply_decoder(
 # ---------------------------------------------------------------------------
 # serialization
 
-def _unit_rows(monomials: MonomialSet, spec: FeatureSpec) -> list[list[int]]:
-    return (monomials.exps @ np.array(spec.units_matrix().entries, dtype=np.int64)).tolist()
+def _unit_rows(monomials: MonomialSet, spec: FeatureSpec) -> np.ndarray:
+    """(p, k) int64 unit exponents of the monomials, one row each."""
+    return monomials.exps @ np.array(spec.units_matrix().entries, dtype=np.int64)
 
 
 def monomials_to_json(monomials: MonomialSet, spec: FeatureSpec) -> list[dict]:
@@ -573,7 +561,7 @@ def monomials_to_json(monomials: MonomialSet, spec: FeatureSpec) -> list[dict]:
     return [
         {"exps": e, "coeff": c, "degree": g, "units": u}
         for e, c, g, u in zip(exps.tolist(), monomials.coeffs.tolist(), degrees,
-                              _unit_rows(monomials, spec))
+                              _unit_rows(monomials, spec).tolist())
     ]
 
 
@@ -608,7 +596,7 @@ def monomials_from_json(entries, spec: FeatureSpec, what: str) -> MonomialSet:
         i = next(i for i, row in enumerate(rows) if not all(-2**63 <= e < 2**63 for e in row))
         raise DataError(f"{what} {i}: exps {rows[i]!r} has an entry outside int64") from None
     monomials = MonomialSet(exps, coeffs)
-    for i, (entry, units) in enumerate(zip(entries, _unit_rows(monomials, spec))):
+    for i, (entry, units) in enumerate(zip(entries, _unit_rows(monomials, spec).tolist())):
         if "units" in entry and entry["units"] != units:
             raise DataError(
                 f"{what} {i}: stored units {entry['units']} disagree with computed units {units}"

@@ -22,7 +22,6 @@ import numpy as np
 
 from .pi import (
     DataError,
-    FeatureDef,
     FeatureSpec,
     Monomial,
     MonomialSet,
@@ -30,10 +29,10 @@ from .pi import (
     as_monomial_set,
     build_design_matrix,
     finite_number,
-    monomial_units,
     monomials_from_json,
     monomials_to_json,
     read_json_file,
+    require_units,
 )
 from .units import (
     GroupElement,
@@ -75,7 +74,8 @@ class Dataset:
         if labels.shape != (rows.shape[0],):
             raise ValueError("one label per row required")
         if len(self.label_units) != self.spec.k:
-            raise UnitMismatch(self.label_units, self.spec.system.names, "label units")
+            raise UnitMismatch(self.label_units.exps, self.spec.system.names,
+                               "label unit exponents and base units")
         for values, columns in ((rows, self.spec.names()), (labels[:, None], ["label"])):
             bad = ~np.isfinite(values)
             if bad.any():
@@ -106,12 +106,13 @@ def save_dataset_csv(data: Dataset, path) -> None:
             w.writerow([repr(float(v)) for v in row] + [repr(float(y))])
 
 
-def load_dataset_csv(path, spec: FeatureSpec | None = None, system=None) -> Dataset:
-    """Load a two-line-header CSV.  With a spec, names and units are checked
-    against it; otherwise a default spec (weight 1, negatives allowed) is
-    built from the header and `system` must be given.  DataError for missing
-    header lines or data rows, a wrong row width, a non-numeric cell (named
-    by file line and column) and a non-finite value."""
+def load_dataset_csv(path, spec: FeatureSpec) -> Dataset:
+    """Load a two-line-header CSV whose feature names and units match spec:
+    ValueError naming the columns, or UnitMismatch naming the column and
+    both unit expressions, where they do not.  DataError for missing header
+    lines or data rows, a last column not named `label`, a wrong row width,
+    a non-numeric cell (named by file line and column) and a non-finite
+    value."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         try:
@@ -122,28 +123,15 @@ def load_dataset_csv(path, spec: FeatureSpec | None = None, system=None) -> Data
         if len(unit_row) != len(names):
             raise DataError(f"{path}: header rows disagree in length")
         if not names or names[-1] != "label":
-            raise ValueError(f"{path}: last column must be named `label`")
+            raise DataError(f"{path}: last column must be named `label`")
         body = [(r.line_num, row) for row in r if row]
-    feature_names = names[:-1]
-    if spec is not None:
-        sys_ = spec.system
-        if feature_names != spec.names():
-            raise ValueError(
-                f"{path}: feature columns {feature_names} do not match spec {spec.names()}"
-            )
-    else:
-        if system is None:
-            raise ValueError("need a spec or a base-unit system to load a dataset")
-        sys_ = system
-    units = [parse_unit(expr, sys_) for expr in unit_row]
-    if spec is not None:
-        for f, u in zip(spec.features, units[:-1]):
-            if f.units != u:
-                raise UnitMismatch(f.units, u, f"column {f.name!r}")
-    else:
-        spec = FeatureSpec(
-            tuple(FeatureDef(n, u) for n, u in zip(feature_names, units[:-1])), sys_
-        )
+    if names[:-1] != spec.names():
+        raise ValueError(f"{path}: feature columns {names[:-1]} do not match spec {spec.names()}")
+    units = [parse_unit(expr, spec.system) for expr in unit_row]
+    for f, u in zip(spec.features, units[:-1]):
+        if f.units != u:
+            raise UnitMismatch(format_unit(f.units, spec.system), format_unit(u, spec.system),
+                               f"the spec and column {f.name!r}")
     if not body:
         raise DataError(f"{path}: no data rows")
     values = np.empty((len(body), len(names)))
@@ -371,22 +359,14 @@ class RegressionModel:
         if len(self.monomials) != len(self.weights):
             raise ValueError("one weight per monomial required")
         if self.decoder is not None:
-            _check_label_units(self.decoder, self.spec, self.label_units, "decoder")
-
-
-def _check_label_units(m: Monomial, spec: FeatureSpec, label_units: UnitVector, what: str):
-    """UnitMismatch naming `what` unless m carries label_units."""
-    units = monomial_units(m, spec)
-    if units != label_units:
-        raise UnitMismatch(units, label_units, f"{what} units")
+            require_units([self.decoder], self.spec, self.label_units, "the label and decoder")
 
 
 def _label_unit_columns(data: Dataset, monomials: Sequence[Monomial], what: str) -> np.ndarray:
     """(N, m) values on data's rows of monomials that must carry its label
-    units: UnitMismatch, or ZeroScale where one evaluates to zero, naming
-    `what` otherwise."""
-    for m in monomials:
-        _check_label_units(m, data.spec, data.label_units, what)
+    units: pi.require_units' UnitMismatch, naming the label and `what`, or
+    ZeroScale where one evaluates to zero."""
+    require_units(monomials, data.spec, data.label_units, f"the label and {what}")
     values = build_design_matrix(data.rows, monomials)
     if np.any(values == 0.0):
         raise ZeroScale(f"{what} evaluated to zero on a row")
@@ -464,11 +444,11 @@ def fit_monomial_models(
     if method not in ("ols", "lasso"):
         raise ValueError(f"unknown method {method!r}")
     monomials, decoders = as_monomial_set(monomials, data.spec.d), list(decoders)
-    X = build_design_matrix(data.rows, monomials)
     live = [dec for dec in decoders if dec is not None]
     dcols = iter(_label_unit_columns(data, live, "decoder").T if live else ())
     if loss_scale is not None:
         svals = _label_unit_columns(data, [loss_scale], "loss scale")[:, 0]
+    X = build_design_matrix(data.rows, monomials)
     models = []
     for decoder in decoders:
         dvals = np.ones(data.n) if decoder is None else next(dcols)

@@ -10,8 +10,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .geometry import ScalarizeRules, VectorFeature, scalarize
-from .pi import FeatureDef, FeatureSpec, Monomial, MonomialSet, monomial_units, parse_monomial
+from .geometry import invariant_rows, scalarize
+from .pi import FeatureDef, FeatureSpec, Monomial, MonomialSet, parse_monomial, require_units
 from .regress import Dataset
 from .units import BaseUnitSystem, Quantity, UnitVector, parse_unit, si_system
 
@@ -55,6 +55,9 @@ class EulerUnstable(ValueError):
 
 MECH_SYSTEM = si_system(("kg", "m", "s"))
 ENERGY_UNITS = parse_unit("J", MECH_SYSTEM)
+# mass, spring constant, length, acceleration, momentum
+_MECH_UNITS = tuple(parse_unit(expr, MECH_SYSTEM)
+                    for expr in ("kg", "kg s^-2", "m", "m s^-2", "kg m s^-1"))
 
 
 def hamiltonian(m: float, k_s: float, L: float, g, p, q) -> float:
@@ -87,22 +90,10 @@ def pendulum_spec() -> FeatureSpec:
     through zero along any trajectory).  Under these ranges a degree-2 sweep
     yields 187,500 monomials, 286 of them dimensionless.
     """
-    acc = parse_unit("m s^-2", MECH_SYSTEM)
-    mom = parse_unit("kg m s^-1", MECH_SYSTEM)
-    pos = parse_unit("m", MECH_SYSTEM)
-    scalars = [
-        ("m", Quantity(1.0, parse_unit("kg", MECH_SYSTEM))),
-        ("k_s", Quantity(1.0, parse_unit("kg s^-2", MECH_SYSTEM))),
-        ("L", Quantity(1.0, pos)),
-    ]
-    vectors = [
-        VectorFeature("g", (0.0, 0.0, -1.0), acc),
-        VectorFeature("p", (0.0, 0.0, 1.0), mom),
-        VectorFeature("q", (0.0, 0.0, 1.0), pos),
-    ]
-    rules = ScalarizeRules(negative_exponent_overrides={"g.q": True})
-    feats = scalarize(scalars, vectors, rules)
-    return FeatureSpec.from_scalar_features(feats, MECH_SYSTEM)
+    kg, spring, pos, acc, mom = _MECH_UNITS
+    scalars = [("m", kg), ("k_s", spring), ("L", pos)]
+    vectors = [("g", acc), ("p", mom), ("q", pos)]
+    return FeatureSpec(tuple(scalarize(scalars, vectors, {"g.q": True})), MECH_SYSTEM)
 
 
 def _random_directions(rng, n):
@@ -116,7 +107,8 @@ def sample_pendulum_dataset(
     """Draw pendulum configurations and label them with exact Hamiltonians.
 
     m, k_s, L ~ Unif(scalar range); |g|, |p|, |q| magnitudes ~ Unif(mag
-    range) with isotropic directions from normalized Gaussian triples.
+    range) with isotropic directions from normalized Gaussian triples;
+    each row is invariant_rows of (m, k_s, L) and (g, p, q).
     """
     rng = np.random.default_rng(seed)
     m = rng.uniform(ranges.scalar_low, ranges.scalar_high, n)
@@ -127,13 +119,8 @@ def sample_pendulum_dataset(
     p = mags[:, 1:2] * _random_directions(rng, n)
     q = mags[:, 2:3] * _random_directions(rng, n)
 
-    norm_g = np.linalg.norm(g, axis=1)
-    norm_p = np.linalg.norm(p, axis=1)
-    norm_q = np.linalg.norm(q, axis=1)
-    gp = np.einsum("ij,ij->i", g, p)
-    gq = np.einsum("ij,ij->i", g, q)
-    pq = np.einsum("ij,ij->i", p, q)
-    rows = np.column_stack([m, k_s, L, norm_g, norm_p, norm_q, gp, gq, pq])
+    rows = invariant_rows([m, k_s, L], [g, p, q])
+    norm_q, gq = rows[:, 5], rows[:, 7]
 
     stretch = norm_q - L
     labels = 0.5 * np.einsum("ij,ij->i", p, p) / m + 0.5 * k_s * stretch**2 - m * gq
@@ -227,13 +214,9 @@ def rietkerk_table_features() -> MonomialSet:
         "alpha^-1 D_w L^-2",
         "L^-1 dl",
     ]
-    exps = []
-    for expr in exprs:
-        mono = parse_monomial(expr, spec)
-        if not monomial_units(mono, spec).is_zero():
-            raise AssertionError(f"table feature {expr!r} is not dimensionless")
-        exps.append(mono.exps)
-    return MonomialSet(np.array(exps, dtype=np.int64))
+    table = MonomialSet(np.array([parse_monomial(e, spec).exps for e in exprs], dtype=np.int64))
+    require_units(table, spec, spec.system.zero(), "dimensionless units and table feature")
+    return table
 
 
 @dataclass
@@ -749,37 +732,16 @@ def double_pendulum_spec() -> FeatureSpec:
     """Scalarized features of the two-spring pendulum: 6 scalars, 5 norms,
     10 dots over vectors (g, p1, p2, q1, dq) where dq is the second spring's
     extension q2 - q1."""
-    kg = parse_unit("kg", MECH_SYSTEM)
-    spring = parse_unit("kg s^-2", MECH_SYSTEM)
-    pos = parse_unit("m", MECH_SYSTEM)
-    scalars = [
-        ("m1", Quantity(1.0, kg)),
-        ("m2", Quantity(1.0, kg)),
-        ("k_s1", Quantity(1.0, spring)),
-        ("k_s2", Quantity(1.0, spring)),
-        ("L1", Quantity(1.0, pos)),
-        ("L2", Quantity(1.0, pos)),
-    ]
-    acc = parse_unit("m s^-2", MECH_SYSTEM)
-    mom = parse_unit("kg m s^-1", MECH_SYSTEM)
-    vectors = [
-        VectorFeature("g", (0.0, 0.0, -1.0), acc),
-        VectorFeature("p1", (0.0, 0.0, 1.0), mom),
-        VectorFeature("p2", (0.0, 0.0, 1.0), mom),
-        VectorFeature("q1", (0.0, 0.0, 1.0), pos),
-        VectorFeature("dq", (0.0, 0.0, 1.0), pos),
-    ]
-    feats = scalarize(scalars, vectors)
-    return FeatureSpec.from_scalar_features(feats, MECH_SYSTEM)
+    kg, spring, pos, acc, mom = _MECH_UNITS
+    scalars = [("m1", kg), ("m2", kg), ("k_s1", spring), ("k_s2", spring), ("L1", pos),
+               ("L2", pos)]
+    vectors = [("g", acc), ("p1", mom), ("p2", mom), ("q1", pos), ("dq", pos)]
+    return FeatureSpec(tuple(scalarize(scalars, vectors)), MECH_SYSTEM)
 
 
 def _fixture(spec, expr, target: UnitVector, sqrt_flagged=False) -> Fixture:
     mono = parse_monomial(expr, spec)
-    actual = monomial_units(mono, spec)
-    if actual != target:
-        raise AssertionError(
-            f"fixture {expr!r} has units {actual.exps}, declared {target.exps}"
-        )
+    require_units([mono], spec, target, "the declared units and fixture")
     return Fixture(expr, mono, sqrt_flagged)
 
 

@@ -155,32 +155,45 @@ def si_system(names: tuple[str, ...] = ("kg", "m", "s", "K")) -> BaseUnitSystem:
     return BaseUnitSystem(tuple(names), aliases)
 
 
-def parse_unit(expr: str, system: BaseUnitSystem) -> UnitVector:
-    """Parse a whitespace-separated product of unit factors.
+def product_factors(expr: str) -> list[tuple[str, int]]:
+    """The (name, exponent) factors of a whitespace-separated product, the
+    one grammar of unit expressions and monomial expressions.
 
     Grammar: expr := factor (SP factor)* | "1" | "";  factor := NAME ("^" INT)?.
-    "kg m^2 s^-2" over (kg, m, s) parses to (1, 2, -2); "1" and "" parse to the
-    zero vector.  There is no division; write negative exponents.
+    "kg m^2 s^-2" gives [("kg", 1), ("m", 2), ("s", -2)]; "1" and "" give [].
+    There is no division; write negative exponents.  MalformedExponent for a
+    "^" not followed by an integer.
     """
     expr = expr.strip()
-    total = [0] * system.k
     if expr in ("", "1"):
-        return UnitVector(tuple(total))
+        return []
+    factors = []
     for token in expr.split():
         name, sep, exp_str = token.partition("^")
-        if sep:
-            try:
-                exp = int(exp_str)
-            except ValueError:
-                raise MalformedExponent(token) from None
-        else:
-            exp = 1
+        try:
+            factors.append((name, int(exp_str) if sep else 1))
+        except ValueError:
+            raise MalformedExponent(token) from None
+    return factors
+
+
+def format_product(names, exps) -> str:
+    """Canonical product expression: factors in the order given, exponent 1
+    left bare, zero exponents dropped, an empty product printed as "1"."""
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e != 0]
+    return " ".join(parts) if parts else "1"
+
+
+def parse_unit(expr: str, system: BaseUnitSystem) -> UnitVector:
+    """The unit vector of a product_factors expression over the system's base
+    units and aliases: "kg m^2 s^-2" over (kg, m, s) parses to (1, 2, -2),
+    "1" and "" to the zero vector.  UnknownUnit for any other name."""
+    total = [0] * system.k
+    for name, exp in product_factors(expr):
         if name in system.names:
-            i = system.index(name)
-            total[i] += exp
+            total[system.index(name)] += exp
         elif name in system.aliases:
-            vec = system.aliases[name]
-            for i, e in enumerate(vec.exps):
+            for i, e in enumerate(system.aliases[name].exps):
                 total[i] += exp * e
         else:
             raise UnknownUnit(name)
@@ -188,17 +201,10 @@ def parse_unit(expr: str, system: BaseUnitSystem) -> UnitVector:
 
 
 def format_unit(units: UnitVector, system: BaseUnitSystem) -> str:
-    """Canonical expression for a unit vector: base units in system order,
-    exponent 1 left bare, zero exponents dropped, zero vector printed as "1"."""
+    """format_product over the base units in system order."""
     if len(units) != system.k:
         raise UnitMismatch(units, system.names, "unit vector and system")
-    parts = []
-    for name, e in zip(system.names, units.exps):
-        if e == 1:
-            parts.append(name)
-        elif e != 0:
-            parts.append(f"{name}^{e}")
-    return " ".join(parts) if parts else "1"
+    return format_product(system.names, units.exps)
 
 
 @dataclass(frozen=True)

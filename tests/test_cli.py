@@ -214,10 +214,13 @@ def test_regress_decoder_index_also_exact(pendulum_csvs, tmp_path):
     assert entry["test_dimensionless_mse"] <= 1e-10
 
 
-def test_regress_decoder_errors(pendulum_csvs):
+def test_regress_decoder_errors(pendulum_csvs, capsys):
     args = ["regress", pendulum_csvs["train"], "--spec", pendulum_csvs["spec"],
             "--features", "basis"]
-    assert main(args + ["--decoder", "expr:m L"]) == 3  # not energy units
+    # not energy units: a unit error, as for --loss-scale
+    assert main(args + ["--decoder", "expr:m L"]) == 2
+    assert ("the label and decoder 'm L' carry different units: kg m^2 s^-2 vs kg m"
+            in capsys.readouterr().err)
     assert main(args + ["--decoder", "index:999"]) == 3
     assert main(args + ["--decoder", "bogus"]) == 3
 
@@ -348,7 +351,9 @@ def edit_cell(line, col, text):
      "non-finite value nan at row 0, column 'L'"),
     (lambda lines: lines[:3] + [edit_cell(lines[3], -1, "inf")] + lines[4:],
      "non-finite value inf at row 1, column 'label'"),
-], ids=["no-rows", "non-numeric", "width", "nan-feature", "inf-label"])
+    (lambda lines: [edit_cell(lines[0], -1, "y")] + lines[1:],
+     "train.csv: last column must be named `label`"),
+], ids=["no-rows", "non-numeric", "width", "nan-feature", "inf-label", "no-label"])
 def test_regress_data_file_errors_exit_3(pendulum_csvs, tmp_path, capsys, edit, message):
     lines = Path(pendulum_csvs["train"]).read_text().splitlines()
     assert lines[0].split(",")[:3] == ["m", "k_s", "L"] and len(lines[0].split(",")) == 10

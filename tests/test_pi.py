@@ -41,7 +41,10 @@ from pireg.sims import double_pendulum_spec
 from pireg.units import (
     BaseUnitSystem,
     GroupElement,
+    MalformedExponent,
+    UnitMismatch,
     UnitVector,
+    format_unit,
     parse_unit,
     scale_factor,
     si_system,
@@ -463,11 +466,44 @@ def test_parse_format_round_trip(pend_spec):
         assert parse_monomial(format_monomial(m, pend_spec), pend_spec) == m
 
 
+@given(st.lists(st.integers(-4, 4), min_size=9, max_size=9))
+def test_monomial_format_parse_round_trip(pend_spec, exps):
+    m = Monomial(tuple(exps))
+    assert parse_monomial(format_monomial(m, pend_spec), pend_spec) == m
+
+
 def test_parse_monomial_errors(pend_spec):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown feature 'nope'"):
         parse_monomial("nope^2", pend_spec)
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedExponent):
         parse_monomial("m^x", pend_spec)
+
+
+# "m" names both a pendulum feature (mass) and a base unit (meter), so one
+# token reaches both parsers through the one product grammar
+@pytest.mark.parametrize("token", ["m^", "m^x", "m^2.5", "m^^2", "m^2^3", "m^-"])
+def test_unit_and_monomial_parsers_reject_the_same_tokens(pend_spec, token):
+    for parse, other in ((parse_unit, pend_spec.system), (parse_monomial, pend_spec)):
+        with pytest.raises(MalformedExponent) as err:
+            parse(f"kg {token}" if parse is parse_unit else f"k_s {token}", other)
+        assert err.value.token == token
+
+
+def test_require_units_names_the_monomial_and_both_unit_expressions(pend_spec):
+    energy = parse_unit("J", pend_spec.system)
+    good = [parse_monomial(e, pend_spec) for e in ("k_s L^2", "m |g| L", "|p|^2 m^-1")]
+    pi.require_units(good, pend_spec, energy, "the label and decoder")
+    pi.require_units(MonomialSet(np.zeros((0, 9), dtype=np.int64)), pend_spec, energy, "x")
+    bad = good + [parse_monomial("m L", pend_spec), parse_monomial("L", pend_spec)]
+    with pytest.raises(UnitMismatch) as err:
+        pi.require_units(MonomialSet(np.array([b.exps for b in bad])), pend_spec, energy,
+                         "the label and decoder")
+    assert str(err.value) == ("the label and decoder 'm L' carry different units: "
+                              "kg m^2 s^-2 vs kg m")
+    assert (err.value.left, err.value.right) == (format_unit(energy, pend_spec.system), "kg m")
+    # a target from another unit system
+    with pytest.raises(UnitMismatch, match="unit vector and system"):
+        pi.require_units(good, pend_spec, UnitVector((1, 2, -2, 0)), "the label and decoder")
 
 
 def test_monomial_set_views_equal_the_monomial_lists(pend_spec):

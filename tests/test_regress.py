@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -59,6 +60,7 @@ from pireg.units import (
     GroupElement,
     Quantity,
     UnitMismatch,
+    UnitVector,
     parse_unit,
     scale_factor,
     si_system,
@@ -509,8 +511,17 @@ def test_dataset_csv_rejects_wrong_units(tmp_path):
     assert "kg s^-2," in text[1]  # the spring-constant column
     text[1] = text[1].replace("kg s^-2,", "kg s^-3,")
     path.write_text("\n".join(text) + "\n")
-    with pytest.raises(UnitMismatch):
+    with pytest.raises(UnitMismatch, match=re.escape(
+            "the spec and column 'k_s' carry different units: kg s^-2 vs kg s^-3")):
         load_dataset_csv(path, spec=data.spec)
+
+
+def test_dataset_rejects_label_units_of_another_system():
+    data = small_dataset()
+    with pytest.raises(UnitMismatch, match=re.escape(
+            "label unit exponents and base units carry different units: "
+            "(1, 2, -2, 0) vs ('kg', 'm', 's')")):
+        Dataset(data.spec, data.rows, data.label_values, UnitVector((1, 2, -2, 0)))
 
 
 def test_dataset_rejects_non_finite_values():

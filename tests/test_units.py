@@ -12,8 +12,10 @@ from pireg.units import (
     UnitMismatch,
     UnitVector,
     UnknownUnit,
+    format_product,
     format_unit,
     parse_unit,
+    product_factors,
     q_add,
     q_mul,
     q_pow,
@@ -66,6 +68,14 @@ def test_parse_malformed_exponent():
         parse_unit("m^two", SI)
     with pytest.raises(MalformedExponent):
         parse_unit("m^", SI)
+
+
+def test_product_grammar():
+    assert product_factors(" kg m^2  s^-2 ") == [("kg", 1), ("m", 2), ("s", -2)]
+    assert product_factors("m m^-1") == [("m", 1), ("m", -1)]
+    assert product_factors("1") == product_factors("  ") == []
+    assert format_product(("a", "b", "c"), (1, 0, -3)) == "a c^-3"
+    assert format_product(("a", "b"), (0, 0)) == "1"
 
 
 def test_format_canonical():
