@@ -151,10 +151,10 @@ def _model_summary(model, spec, top=8) -> list:
 
 def cmd_regress(args, config) -> int:
     spec, label_units = load_spec_file(args.spec)
-    train = regress.load_dataset_csv(args.train, spec=spec)
-    if label_units is not None and train.label_units != label_units:
-        raise DataError("training label units disagree with the spec file")
-    test = regress.load_dataset_csv(args.test, spec=spec) if args.test else None
+    # the spec file's label units, if it has them, else the training CSV's,
+    # bind the label of both CSVs
+    train = regress.load_dataset_csv(args.train, spec, label_units)
+    test = regress.load_dataset_csv(args.test, spec, train.label_units) if args.test else None
     features = _resolve_features(args.features, spec)
     decoders = _resolve_decoders(args.decoder, spec, train.label_units, args.decoder_max_degree)
     loss_scale = pi.parse_monomial(args.loss_scale, spec) if args.loss_scale else None

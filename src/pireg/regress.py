@@ -106,13 +106,14 @@ def save_dataset_csv(data: Dataset, path) -> None:
             w.writerow([repr(float(v)) for v in row] + [repr(float(y))])
 
 
-def load_dataset_csv(path, spec: FeatureSpec) -> Dataset:
-    """Load a two-line-header CSV whose feature names and units match spec:
-    ValueError naming the columns, or UnitMismatch naming the column and
-    both unit expressions, where they do not.  DataError for missing header
-    lines or data rows, a last column not named `label`, a wrong row width,
-    a non-numeric cell (named by file line and column) and a non-finite
-    value."""
+def load_dataset_csv(path, spec: FeatureSpec, label_units: UnitVector | None = None) -> Dataset:
+    """Load a two-line-header CSV whose feature names and units match spec,
+    and whose label units match label_units when given: ValueError naming
+    the columns, or UnitMismatch naming the column (for the label also the
+    path) and both unit expressions, where they do not.  DataError for
+    missing header lines or data rows, a last column not named `label`, a
+    wrong row width, a non-numeric cell (named by file line and column) and
+    a non-finite value."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         try:
@@ -132,6 +133,9 @@ def load_dataset_csv(path, spec: FeatureSpec) -> Dataset:
         if f.units != u:
             raise UnitMismatch(format_unit(f.units, spec.system), format_unit(u, spec.system),
                                f"the spec and column {f.name!r}")
+    if label_units is not None and units[-1] != label_units:
+        raise UnitMismatch(format_unit(label_units, spec.system), format_unit(units[-1], spec.system),
+                           f"the expected label and {path}'s column 'label'")
     if not body:
         raise DataError(f"{path}: no data rows")
     values = np.empty((len(body), len(names)))

@@ -253,31 +253,44 @@ def random_rietkerk_state(n_cells: int, dl: float, rng) -> RietkerkState:
     return RietkerkState(u, w, v, dl)
 
 
-def _periodic_laplacian(f: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
-    """Five-point periodic Laplacian of f over its last two axes, times dl^2,
-    written into out; f and work are C-contiguous and of one shape.
+def _copy(dst: np.ndarray, src: np.ndarray) -> tuple:
+    """A call of _EulerBatch's table that copies src into the view dst: on a
+    grid column the bound __setitem__ takes 0.5-0.9x np.copyto's time."""
+    return dst.__setitem__, (Ellipsis, src)
+
+
+def _periodic_laplacian(f: np.ndarray, out: np.ndarray, work: np.ndarray) -> tuple:
+    """The calls, as (callable, operands) pairs on views made here, that
+    write the five-point periodic Laplacian of f over its last two axes,
+    times dl^2, into out; f, out and work are C-contiguous and of one shape.
 
     The sums run in the order of
     roll(f, 1, 0) + roll(f, -1, 0) + roll(f, 1, 1) + roll(f, -1, 1) - 4 f,
     so each entry rounds exactly as that np.roll expression does.  A column
-    neighbour is one flat position away: it is copied into work by one
-    contiguous shift, with the wrapped column patched in, and then added;
-    adding the (..., n, n - 1) slices instead takes 2.7x as long (50 x 50
-    grid, 8 runs, numpy 2.4 on a 2-vCPU Xeon).
+    neighbour is one flat position away, so it is added by one contiguous
+    shifted add; the wrapped column, which that add gives the wrong
+    neighbour, is saved before the add and summed again from the copy.
+    Adding the (..., ny, nx - 1) slices instead takes 4.6-5.1x as long as
+    the shifted add, and copying the shifted neighbours into work before
+    adding them made a whole step 1-5% slower (50 x 50 grid, 1 to 8 runs,
+    numpy 2.4 on a 2-vCPU Xeon).
     """
-    out[..., 1:, :] = f[..., :-1, :]
-    out[..., :1, :] = f[..., -1:, :]
-    out[..., :-1, :] += f[..., 1:, :]
-    out[..., -1:, :] += f[..., :1, :]
-    flat_f, flat_w = f.reshape(-1), work.reshape(-1)
-    flat_w[1:] = flat_f[:-1]
-    work[..., :1] = f[..., -1:]
-    out += work
-    flat_w[:-1] = flat_f[1:]
-    work[..., -1:] = f[..., :1]
-    out += work
-    np.multiply(f, 4.0, out=work)
-    out -= work
+    flat_f, flat_out = f.reshape(-1), out.reshape(-1)
+    wrapped = np.empty(f.shape[:-1] + (1,))
+    return (
+        _copy(out[..., 1:, :], f[..., :-1, :]),
+        _copy(out[..., :1, :], f[..., -1:, :]),
+        (np.add, (out[..., :-1, :], f[..., 1:, :], out[..., :-1, :])),
+        (np.add, (out[..., -1:, :], f[..., :1, :], out[..., -1:, :])),
+        _copy(wrapped, out[..., :1]),
+        (np.add, (flat_out[1:], flat_f[:-1], flat_out[1:])),
+        (np.add, (wrapped, f[..., -1:], out[..., :1])),
+        _copy(wrapped, out[..., -1:]),
+        (np.add, (flat_out[:-1], flat_f[1:], flat_out[:-1])),
+        (np.add, (wrapped, f[..., :1], out[..., -1:])),
+        (np.multiply, (f, 4.0, work)),
+        (np.subtract, (out, work, out)),
+    )
 
 
 class _EulerBatch:
@@ -285,9 +298,15 @@ class _EulerBatch:
     per-run parameter as a read-only (B, ny, nx) field, the diffusion
     coefficients as one (3, B, ny, nx) field, and the buffers that an Euler
     step writes into.  A multiply that broadcasts a (B, 1, 1) column takes
-    about 1.6x as long as one with same-shape contiguous operands at B = 2
+    1.6-1.7x as long as one with same-shape contiguous operands at B = 2
     and 8 (50 x 50 grid, numpy 2.4 on a 2-vCPU Xeon); each element rounds
-    alike."""
+    alike.
+
+    Every view a step reads or writes is made here, once per batch, in a
+    table of calls and their operands, so a step only runs the calls:
+    slicing, reshaping and unpacking the stack on every step cost 2-15% of
+    a step at B = 1 to 8 (the same grid and host).  `flat`, `vegetation`
+    and `sums` serve integrate_rietkerk_batch's checks after each step."""
 
     def __init__(self, params: list[RietkerkParams], fields: np.ndarray,
                  dt: float, inv_dl2: float):
@@ -297,25 +316,55 @@ class _EulerBatch:
             out.flags.writeable = False
             return out
 
-        self.fields = np.ascontiguousarray(fields)
-        self.dt = dt
-        self.inv_dl2 = inv_dl2
-        self.R = field([p.R for p in params])
-        self.alpha = field([p.alpha for p in params])
-        self.k2 = field([p.k2 for p in params])
-        self.k2_W0 = field([p.k2 * p.W0 for p in params])
-        self.g_m = field([p.g_m for p in params])
-        self.k1 = field([p.k1 for p in params])
-        self.delta_w = field([p.delta_w for p in params])
-        self.c = field([p.c for p in params])
-        self.delta_v = field([p.delta_v for p in params])
-        self.D = field([[p.D_u for p in params], [p.D_w for p in params],
-                        [p.D_v for p in params]], fields.shape)
-        self.lap = np.empty(fields.shape)
-        self.rate = np.empty(fields.shape)
-        self.infil = np.empty(fields.shape[1:])
-        self.uptake = np.empty(fields.shape[1:])
-        self.tmp = np.empty(fields.shape[1:])
+        x = self.fields = np.ascontiguousarray(fields)
+        self.flat = x.reshape(-1)
+        self.vegetation = x[2].reshape(x.shape[1], -1)
+        self.sums = np.empty(x.shape[1])
+        R = field([p.R for p in params])
+        alpha = field([p.alpha for p in params])
+        k2 = field([p.k2 for p in params])
+        k2_W0 = field([p.k2 * p.W0 for p in params])
+        g_m = field([p.g_m for p in params])
+        k1 = field([p.k1 for p in params])
+        delta_w = field([p.delta_w for p in params])
+        c = field([p.c for p in params])
+        delta_v = field([p.delta_v for p in params])
+        D = field([[p.D_u for p in params], [p.D_w for p in params],
+                   [p.D_v for p in params]], x.shape)
+        lap, rate = np.empty(x.shape), np.empty(x.shape)
+        infil, uptake, tmp = (np.empty(x.shape[1:]) for _ in range(3))
+        u, w, v = x
+        du, dw, dv = rate
+        add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
+        self._calls = (
+            *_periodic_laplacian(x, lap, rate),
+            (mul, (lap, inv_dl2, lap)),
+            (mul, (lap, D, lap)),
+            # infil = alpha u (v + k2 W0) / (v + k2)
+            (mul, (alpha, u, infil)),
+            (add, (v, k2_W0, tmp)),
+            (mul, (infil, tmp, infil)),
+            (add, (v, k2, tmp)),
+            (div, (infil, tmp, infil)),
+            # uptake = g_m v w / (k1 + w)
+            (mul, (g_m, v, uptake)),
+            (mul, (uptake, w, uptake)),
+            (add, (k1, w, tmp)),
+            (div, (uptake, tmp, uptake)),
+            # du = R - infil, dw = infil - uptake - delta_w w,
+            # dv = c uptake - delta_v v
+            (sub, (R, infil, du)),
+            (sub, (infil, uptake, dw)),
+            (mul, (delta_w, w, tmp)),
+            (sub, (dw, tmp, dw)),
+            (mul, (c, uptake, dv)),
+            (mul, (delta_v, v, tmp)),
+            (sub, (dv, tmp, dv)),
+            # x += dt (rate + D lap)
+            (add, (rate, lap, rate)),
+            (mul, (rate, dt, rate)),
+            (add, (x, rate, x)),
+        )
 
     def step(self) -> None:
         """Advance every run one explicit Euler step, in place.
@@ -329,32 +378,8 @@ class _EulerBatch:
         in the same order and rounding, so a run's fields do not depend on
         the batch it is integrated in.
         """
-        x, lap, rate = self.fields, self.lap, self.rate
-        u, w, v = x
-        infil, uptake, tmp = self.infil, self.uptake, self.tmp
-        _periodic_laplacian(x, lap, rate)
-        lap *= self.inv_dl2
-        lap *= self.D
-        np.multiply(self.alpha, u, out=infil)
-        np.add(v, self.k2_W0, out=tmp)
-        infil *= tmp
-        np.add(v, self.k2, out=tmp)
-        infil /= tmp
-        np.multiply(self.g_m, v, out=uptake)
-        uptake *= w
-        np.add(self.k1, w, out=tmp)
-        uptake /= tmp
-        du, dw, dv = rate
-        np.subtract(self.R, infil, out=du)
-        np.subtract(infil, uptake, out=dw)
-        np.multiply(self.delta_w, w, out=tmp)
-        dw -= tmp
-        np.multiply(self.c, uptake, out=dv)
-        np.multiply(self.delta_v, v, out=tmp)
-        dv -= tmp
-        rate += lap
-        rate *= self.dt
-        x += rate
+        for call, operands in self._calls:
+            call(*operands)
 
 
 def _diffusion_number(p: RietkerkParams, dl: float) -> float:
@@ -411,21 +436,23 @@ def integrate_rietkerk_batch(
     runs: list[RietkerkRun | None] = [None] * len(params)
     extinction: list[int | None] = [None] * len(params)
     blowup = None  # (run, step) of the lowest-index run that blew up
+    minimum, add = np.minimum.reduce, np.add.reduce
     for step in range(n_steps):
         batch.step()
         x = batch.fields
         # slots from `first` on blew up, or follow one that did and so would
         # never be reached one by one
         first = len(live)
-        if not (x.min() >= -1e-9):  # also catches NaN
+        if not (minimum(batch.flat) >= -1e-9):  # also catches NaN
             low = x.min(axis=(0, 2, 3))
             first = next(i for i in range(len(live)) if not (low[i] >= -1e-9))
             blowup = (live[first], step)
-        # the sum and division of x[2].mean(axis=(1, 2)), without its overhead
-        gone = np.add.reduce(x[2].reshape(len(live), -1), axis=1) / cells < extinction_threshold
+        # the pairwise sums of v.mean(axis=(1, 2)), each divided as numpy
+        # divides it; a NaN mean is never below the threshold
+        sums = add(batch.vegetation, 1, None, batch.sums).tolist()
         stopped = ()
-        if gone.any():
-            for slot in np.flatnonzero(gone[:first]):
+        for slot in range(first):
+            if sums[slot] / cells < extinction_threshold:
                 run = live[slot]
                 if extinction[run] is None:
                     extinction[run] = step
@@ -511,8 +538,9 @@ def _rietkerk_draw(seed: int, run_idx: int, scale: GridScale):
 
 # Most draws one chunk of rietkerk_experiment integrates together.  Median
 # cost per run-step on a 50 x 50 grid (numpy 2.4, 2-vCPU Xeon, 2 MB L2 per
-# core): 126 us at B = 1, 100 us at B = 2, 94-97 us at B = 3-6, 92 us at
-# B = 8, 109 us at B = 12 and 133 us at B = 16, where the batch's 24
+# core), over three runs between which the host's speed drifted: 65-89 us
+# at B = 1, 57-72 us at B = 2, 55-72 us at B = 3-8 (58-73 us at B = 8),
+# 64-79 us at B = 12 and 67-86 us at B = 16, where the batch's 24
 # (B, ny, nx) arrays (3.8 MB at B = 8) spill further out of the cache.
 _MAX_BATCH = 8
 

@@ -472,6 +472,24 @@ def test_regress_units_mismatch_is_spec_error(pendulum_csvs, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("csv", ["train", "test"])
+def test_regress_label_units_mismatch_names_the_csv(pendulum_csvs, tmp_path, capsys, csv):
+    # a training label against the spec file's label_units, a --test label
+    # against the training label: one check, exit 2, naming the file and both
+    # units (the --test case used to fail in the loss scale, with no
+    # --loss-scale given)
+    lines = Path(pendulum_csvs[csv]).read_text().splitlines()
+    assert lines[1].split(",")[-1] == "kg m^2 s^-2"
+    bad = tmp_path / f"{csv}.csv"
+    bad.write_text("\n".join([lines[0], edit_cell(lines[1], -1, "kg m")] + lines[2:]) + "\n")
+    paths = {"train": pendulum_csvs["train"], "test": pendulum_csvs["test"], csv: str(bad)}
+    rc = main(["regress", paths["train"], "--spec", pendulum_csvs["spec"], "--test", paths["test"],
+               "--features", "basis", "--decoder", "expr:k_s L^2"])
+    assert rc == 2
+    assert (f"the expected label and {bad}'s column 'label' carry different units: "
+            "kg m^2 s^-2 vs kg m") in capsys.readouterr().err
+
+
 # --- experiments -----------------------------------------------------------------
 
 

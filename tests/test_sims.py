@@ -399,6 +399,44 @@ def test_batch_bit_identical_to_roll_loop_on_desk_grid():
         assert run.steps == steps == 100 and run.extinction_step is extinction_step is None
 
 
+def test_batch_bit_identical_to_roll_loop_on_desk_grid_with_a_run_leaving():
+    # the benchmark's batch shape: three runs on 50 x 50 cells, the middle
+    # one going extinct mid-run and leaving, so the batch is rebuilt from
+    # the other two and steps on
+    params, inits = varied_runs(3, extinct=(1,), shape=(50, 50), T=1.0, seed=11)
+    runs = integrate_rietkerk_batch(params, inits, stop_on_extinction=True)
+    for i, (p, init, run) in enumerate(zip(params, inits, runs)):
+        u, w, v, steps, extinction_step = roll_loop_oracle(p, init, stop_on_extinction=True)
+        assert np.array_equal(run.state.u, u), i
+        assert np.array_equal(run.state.w, w), i
+        assert np.array_equal(run.state.v, v), i
+        assert run.steps == steps and run.extinction_step == extinction_step, i
+    assert 0 < runs[1].extinction_step < runs[1].steps < 200
+    assert runs[0].steps == runs[2].steps == 200 and not runs[0].extinct and not runs[2].extinct
+
+
+def test_batch_blowup_in_the_step_a_lower_run_goes_extinct():
+    # run 0 has no vegetation growth (c = 0), so its uniform vegetation
+    # decays by 1 - dt delta_v a step and falls below the threshold at step
+    # 10; run 1 has no uptake (g_m = 0) and delta_v < 0, so its vegetation
+    # grows 1e31-fold a step, overflows at step 9 and gives NaN at step 10
+    shape = (6, 7)
+    rng = np.random.default_rng(0)
+    params = [RietkerkParams(c=0.0, delta_v=20.0, T=1.0),
+              RietkerkParams(g_m=0.0, delta_v=-(1e31 - 1) / 0.005, T=1.0)]
+    inits = [RietkerkState(rng.uniform(0.0, 5.0, shape), rng.uniform(0.0, 5.0, shape),
+                           np.full(shape, v0), 2.0) for v0 in (3e-3, 1.0)]
+    with np.errstate(all="ignore"):
+        for stop in (False, True):
+            assert roll_loop_oracle(params[0], inits[0], stop_on_extinction=stop)[4] == 10
+            with pytest.raises(NumericalBlowup) as serial:
+                roll_loop_oracle(params[1], inits[1], stop_on_extinction=stop)
+            assert serial.value.step == 10
+            with pytest.raises(NumericalBlowup) as batched:
+                integrate_rietkerk_batch(params, inits, stop_on_extinction=stop)
+            assert (batched.value.run, batched.value.step) == (1, 10)
+
+
 def test_batch_blowup_reports_lowest_run_at_its_serial_step():
     # on flat fields an Euler step scales u's distance from its fixed point
     # R / (alpha f), f = (v + k2 W0) / (v + k2), by 1 - dt alpha f.  Run 1
