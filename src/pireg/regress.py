@@ -12,8 +12,13 @@ uses it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
+import glob
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -43,6 +48,53 @@ from .units import (
     parse_unit,
     scale_factor,
 )
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the scipy-openblas library that
+    numpy wheels bundle, or None where numpy links another BLAS; looked up
+    on first use."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+def serial_blas_available() -> bool:
+    """Whether _serial_blas pins BLAS to one thread; where it cannot, a
+    fitted model's metadata records "blas_serial": false."""
+    return _openblas_threads() is not None
+
+
+@contextlib.contextmanager
+def _serial_blas():
+    """BLAS on one thread inside the block, its thread count restored after.
+
+    A multithreaded BLAS splits a product or factorization into blocks
+    whose partial sums it adds in another order, so the last bits of a fit
+    or a prediction depend on the thread count.  Every function whose
+    results reach an artifact runs under this manager, which makes the
+    artifacts those of one thread at any OPENBLAS_NUM_THREADS.  It does
+    nothing where the library is not found (serial_blas_available)."""
+    blas = _openblas_threads()
+    threads = blas[0]() if blas is not None else 1
+    if threads == 1:
+        yield
+        return
+    blas[1](1)
+    try:
+        yield
+    finally:
+        blas[1](threads)
 
 
 class RankDeficientWarning(UserWarning):
@@ -162,6 +214,7 @@ class OlsFit:
     rank_deficient: bool
 
 
+@_serial_blas()
 def fit_ols(X: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> OlsFit:
     """Least squares via orthogonal factorization (SVD), never normal equations.
 
@@ -216,6 +269,7 @@ def soft_threshold(rho: float, lam: float) -> float:
     return 0.0
 
 
+@_serial_blas()
 def lasso_lambda_max(X: np.ndarray, y: np.ndarray) -> float:
     """Smallest lambda at which every penalized weight is exactly zero,
     computed on the internally standardized problem."""
@@ -230,6 +284,7 @@ def lasso_lambda_max(X: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(Xs.T @ yc)) / len(y))
 
 
+@_serial_blas()
 def fit_lasso(
     X: np.ndarray,
     y: np.ndarray,
@@ -382,6 +437,7 @@ def _label_unit_columns(data: Dataset, monomials: Sequence[Monomial], what: str)
 _STACK_ENTRIES = 2**22
 
 
+@_serial_blas()
 def _predict_blocks(
     models: Sequence[RegressionModel], rows: np.ndarray, blocks: int
 ) -> np.ndarray:
@@ -464,6 +520,8 @@ def fit_monomial_models(
             eta = eta * rw
         meta = dict(metadata or {})
         meta.update({"method": method, "n_train": data.n})
+        if not serial_blas_available():
+            meta["blas_serial"] = False
         intercept = 0.0
         if method == "ols":
             fit = fit_ols(Xw, eta, ridge=ridge)
@@ -507,11 +565,15 @@ def dimensionless_mse(model: RegressionModel, data: Dataset, scale: Monomial) ->
     return prediction_errors([model], data, scale)[1][0]
 
 
-def pearson(model: RegressionModel, data: Dataset) -> float:
+@_serial_blas()
+def pearson(model: RegressionModel, data: Dataset) -> float | None:
+    """Correlation of predictions and labels over data's rows; None, where
+    it is undefined: fewer than 2 rows, or a constant prediction or label."""
     pred = predict_rows(model, data.rows)
     truth = data.label_values
-    pc = np.corrcoef(pred, truth)
-    return float(pc[0, 1])
+    if data.n < 2 or np.ptp(pred) == 0.0 or np.ptp(truth) == 0.0:
+        return None
+    return float(np.corrcoef(pred, truth)[0, 1])
 
 
 def equivariance_residuals(

@@ -12,7 +12,7 @@ import numpy as np
 
 from .geometry import invariant_rows, scalarize
 from .pi import FeatureDef, FeatureSpec, Monomial, MonomialSet, parse_monomial, require_units
-from .regress import Dataset
+from .regress import Dataset, serial_blas_available
 from .units import BaseUnitSystem, Quantity, UnitVector, parse_unit, si_system
 
 
@@ -570,18 +570,47 @@ def _integrate_chunk(seed: int, start: int, size: int,
 
 
 class _CallingProcess:
-    """The executor of a one-worker experiment: each chunk runs in the
-    calling process when it is submitted."""
+    """The executor that _worker_pool falls back to: each task runs in the
+    calling process when it is submitted, and its result or exception waits
+    in the future, as a worker's would."""
 
     def submit(self, fn, *args):
         from concurrent.futures import Future
 
         future = Future()
-        future.set_result(fn(*args))
+        try:
+            future.set_result(fn(*args))
+        except Exception as e:
+            future.set_exception(e)
         return future
 
     def shutdown(self, wait=True, *, cancel_futures=False):
         pass
+
+
+def _worker_pool(workers: int | None = None, blas: bool = False):
+    """(workers, executor) for tasks that may run in forked processes.
+
+    A fork pool of `workers` processes (default one per usable CPU) when
+    this process may run on two CPUs or more and the platform can fork;
+    otherwise (1, _CallingProcess()).  Forked workers start without
+    importing anything and inherit the caller's module state, patches
+    included.  Tasks that call BLAS pass blas=True: they get a pool only
+    where regress._serial_blas pins BLAS to one thread, because a worker
+    and its caller each running BLAS on every core oversubscribe the CPUs
+    (on 2 vCPUs at the default thread count, run_springy took 2.5-3.7 s
+    so, against 0.48-0.53 s with BLAS pinned).
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    cores = _usable_cores()
+    if (cores > 1 and "fork" in multiprocessing.get_all_start_methods()
+            and (serial_blas_available() or not blas)):
+        workers = workers or cores
+        return workers, ProcessPoolExecutor(workers,
+                                            mp_context=multiprocessing.get_context("fork"))
+    return 1, _CallingProcess()
 
 
 @dataclass
@@ -621,25 +650,20 @@ def rietkerk_experiment(
     before it are consumed.  Raises InsufficientSurvivors if max_runs
     (default 3x the requested total) integrations cannot fill both splits.
 
-    The workers are forked, so they start without importing anything; with
-    one usable CPU, or no fork on the platform, the chunks run in the
-    calling process.  A worker calls no BLAS routine, so the fork is safe
-    where a BLAS library has started threads, although Python 3.12 and
-    later then emit a DeprecationWarning at the fork.
+    The pool comes from _worker_pool: with one usable CPU, or no fork on
+    the platform, the chunks run in the calling process.  The integrator
+    calls no BLAS routine, so the workers need no BLAS pin.  Python 3.12
+    and later emit a DeprecationWarning at a fork taken while a BLAS
+    library keeps idle threads.
     """
-    # imported here, so the other commands do not load them
-    import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    # imported here, so the other commands do not load it
+    from concurrent.futures import FIRST_COMPLETED, wait
 
     want = n_train + n_test
     if max_runs is None:
         max_runs = 3 * want
     spec = rietkerk_spec()
-    workers = _usable_cores()
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    else:
-        workers, pool = 1, _CallingProcess()
+    workers, pool = _worker_pool()
     params = []  # of the draws dispatched so far, in draw order
     running = {}  # future -> first draw of its chunk
     finished = {}  # first draw -> future of a finished chunk not yet consumed

@@ -1,11 +1,16 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pireg import pi, regress, sims
-from pireg.cli import load_spec_file, main, parse_args, run_rietkerk
+from pireg.cli import load_spec_file, main, parse_args, run_rietkerk, run_springy
 from pireg.pi import FeatureDef, FeatureSpec
 from pireg.units import Quantity, parse_unit, si_system
 
@@ -20,6 +25,12 @@ def write_spec(tmp_path, spec, label_units=None, name="spec.json"):
 
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def artifacts(out) -> dict:
+    """Every file in out, name to bytes."""
+    return {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())}
 
 
 def two_mass_spec():
@@ -537,6 +548,46 @@ def test_experiment_springy_desk(tmp_path, capsys):
         assert (out / name).exists()
 
 
+def test_springy_control_worker_matches_the_calling_process(tmp_path, monkeypatch):
+    """With two usable CPUs the 786-column OLS control runs in a forked
+    worker, with one in this process: the same results and artifacts, and
+    the same error where the control fit raises."""
+    runs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(sims, "_usable_cores", lambda n=cores: n)
+        results = run_springy(0, "desk", tmp_path / f"springy-{cores}")
+        runs.append((json.dumps(results, sort_keys=True), artifacts(tmp_path / f"springy-{cores}")))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 4
+
+    # patched before the fork, so a worker inherits it; each failing fit
+    # records the process it ran in
+    fit_ols = regress.fit_ols
+    pids = tmp_path / "pids"
+
+    def failing_control(X, y, ridge=0.0):
+        if X.shape[1] > 286:
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            raise np.linalg.LinAlgError("SVD did not converge in the control fit")
+        return fit_ols(X, y, ridge)
+
+    monkeypatch.setattr(regress, "fit_ols", failing_control)
+    uses_worker = ("fork" in multiprocessing.get_all_start_methods()
+                   and regress.serial_blas_available())
+    errors = []
+    for cores, pinned in ((1, True), (2, True), (2, False)):
+        monkeypatch.setattr(sims, "_usable_cores", lambda n=cores: n)
+        if not pinned:  # no worker without the BLAS pin
+            monkeypatch.setattr(regress, "_openblas_threads", lambda: None)
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            run_springy(0, "desk", tmp_path / "failing")
+        errors.append((type(err.value), str(err.value)))
+    assert errors == [(np.linalg.LinAlgError, "SVD did not converge in the control fit")] * 3
+    in_worker = [int(pid) != os.getpid() for pid in pids.read_text().split()]
+    assert in_worker == [False, uses_worker, False]
+
+
 def test_experiment_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": {"scale": "paper", "seed": 3}}))
@@ -682,3 +733,41 @@ def test_run_rietkerk_small(tmp_path):
     for name in ("train.csv", "test.csv", "model_dimensionless.json",
                  "model_baseline.json"):
         assert (tmp_path / "rk" / name).exists()
+
+
+def test_run_rietkerk_one_test_row_has_no_pearson(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # Python 3.12 and later warn at a fork taken while BLAS keeps threads
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                DeprecationWarning)
+        results = run_rietkerk(0, "desk", tmp_path / "rk", n_train=2, n_test=1)
+    assert results["dimensionless"]["test_pearson"] is None
+    assert results["baseline"]["test_pearson"] is None
+    assert '"test_pearson": null' in json.dumps(results)
+
+
+# every artifact is that of one BLAS thread at any OPENBLAS_NUM_THREADS:
+# each command runs in a fresh process per thread count, into one --out
+@pytest.mark.skipif(not regress.serial_blas_available(),
+                    reason="numpy's BLAS is not a scipy-openblas library")
+@pytest.mark.parametrize("argv", [
+    ["-m", "pireg", "experiment", "springy", "--scale", "desk", "--seed", "0", "--out"],
+    ["-m", "pireg", "experiment", "blackbody", "--seed", "0", "--out"],
+    ["-c", "import sys; from pireg import cli; "
+           "cli.run_rietkerk(0, 'desk', sys.argv[1], n_train=2, n_test=2)"],
+], ids=["springy", "blackbody", "rietkerk"])
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path, argv):
+    out = tmp_path / "out"
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                            os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, *argv, str(out)], env=env, check=True,
+                       capture_output=True)
+        written.append(artifacts(out))
+        for path in out.iterdir():
+            path.unlink()
+    assert written[0] == written[1]
+    assert len(written[0]) >= 4

@@ -39,6 +39,7 @@ from pireg.regress import (
     load_dataset_csv,
     load_model,
     mse,
+    pearson,
     predict,
     predict_rows,
     prediction_errors,
@@ -606,6 +607,20 @@ def test_equivariance_residual_is_tiny_for_decoder_models():
     assert equivariance_residual(model, data.rows, n_group=50, seed=1) <= 1e-10
 
 
+def test_pearson_is_none_where_undefined():
+    data = small_dataset(16, seed=19)
+    model = truth_model(data.spec)
+    one_row = Dataset(data.spec, data.rows[:1], data.label_values[:1], JOULE)
+    flat_labels = Dataset(data.spec, data.rows, np.full(data.n, 2.0), JOULE)
+    flat_model = RegressionModel(data.spec, (Monomial.constant(data.spec.d),), (3.0,), None, JOULE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pearson(model, one_row) is None
+        assert pearson(model, flat_labels) is None
+        assert pearson(flat_model, data) is None
+        assert pearson(model, data) == pytest.approx(1.0, abs=1e-12)
+
+
 def per_group_equivariance_oracle(model, rows, n_group=100, seed=0, low=0.1, high=10.0):
     """The per-group loop equivariance_residual replaced, frozen: one
     predict_rows call on the rows and one on each rescaled copy."""
@@ -797,3 +812,42 @@ def test_fit_monomial_model_lasso_metadata():
     assert model.metadata["converged"]
     assert model.metadata["sweeps"] >= 1
     assert 0.0 <= model.metadata["duality_gap"] <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+@pytest.mark.skipif(not regress.serial_blas_available(),
+                    reason="numpy's BLAS is not a scipy-openblas library")
+def test_serial_blas_pins_one_thread_and_restores_the_count():
+    get, set_ = regress._openblas_threads()
+    saved = get()
+    try:
+        set_(2)
+        threads = get()
+        with regress._serial_blas():
+            assert get() == 1
+            with regress._serial_blas():
+                assert get() == 1
+            assert get() == 1
+        assert get() == threads
+        # a decorated function restores the count when it raises
+        with pytest.raises(ValueError, match="length mismatch"):
+            fit_ols(np.eye(3), np.ones(2))
+        assert get() == threads
+    finally:
+        set_(saved)
+
+
+def test_models_record_an_unpinned_blas(monkeypatch):
+    data = small_dataset(64, seed=20)
+    monos = enumerate_monomials(data.spec, 1, dimensionless_only=True)
+    decoder = parse_monomial("k_s L^2", data.spec)
+    # where the pin works the metadata, and so the model file, are unchanged
+    pinned = fit_monomial_model(data, monos, decoder)
+    assert ("blas_serial" in pinned.metadata) is not regress.serial_blas_available()
+    monkeypatch.setattr(regress, "_openblas_threads", lambda: None)
+    for method in ("ols", "lasso"):
+        model = fit_monomial_model(data, monos, decoder, method=method, lam=0.05)
+        assert model.metadata["blas_serial"] is False
