@@ -256,14 +256,16 @@ def run_springy(seed: int, scale: str, out_dir, lam: float = 1e-2) -> dict:
                                            max_sweeps=20000, metadata=meta)
         lasso_bad = regress.fit_monomial_model(small, polluted, decoder, method="lasso", lam=lam,
                                                max_sweeps=20000, metadata=meta)
-        ols_mse = regress.dimensionless_mse(ols, test, decoder)
+        # one test design scores both fits
+        test_mse, test_dmse = regress.prediction_errors([ols, lasso], test, decoder)
+        ols_mse = test_dmse[0]
         results = {
             "n_features": len(features),
             "decoder": pi.format_monomial(decoder, spec),
             "ols": {
                 "n_train": train.n,
                 "test_dimensionless_mse": ols_mse,
-                "test_mse": regress.mse(ols, test),
+                "test_mse": test_mse[0],
                 "top_weights": _model_summary(ols, spec),
                 "equivariance_residual": regress.equivariance_residual(
                     ols, test.rows[:100], n_group=100, seed=seed
@@ -273,7 +275,7 @@ def run_springy(seed: int, scale: str, out_dir, lam: float = 1e-2) -> dict:
                 "n_train": small.n,
                 "lambda": lam,
                 "support_size": int(sum(1 for w in lasso.weights if w != 0.0)),
-                "test_dimensionless_mse": regress.dimensionless_mse(lasso, test, decoder),
+                "test_dimensionless_mse": test_dmse[1],
                 "top_weights": _model_summary(lasso, spec),
                 "converged": lasso.metadata["converged"],
             },

@@ -55,8 +55,8 @@ class NonFinite(ArithmeticError):
 
 
 class EnumerationTooLarge(ValueError):
-    def __init__(self, count, cap, what="candidates"):
-        super().__init__(f"enumeration would sweep {count} {what} (cap {cap})")
+    def __init__(self, count, cap):
+        super().__init__(f"enumeration would sweep {count} exponent entries (cap {cap})")
         self.count = count
         self.cap = cap
 
@@ -404,10 +404,7 @@ _MAX_ENTRIES = 2**25
 
 
 def lattice_points(
-    spec: FeatureSpec,
-    target_units: UnitVector | None,
-    max_degree: int,
-    max_candidates: int = 10**8,
+    spec: FeatureSpec, target_units: UnitVector | None, max_degree: int
 ) -> np.ndarray:
     """All exponent vectors alpha in the degree ball (each alpha_i in
     _exponent_ranges) with units alpha^T U == target_units, as a (p, d)
@@ -421,9 +418,8 @@ def lattice_points(
     as b^T adj(M) / det(M), and are kept when they land in range and the
     whole point carries the target units, which holds only where the
     division is exact and the target lies in U's row space.  Raises
-    EnumerationTooLarge when the swept box exceeds max_candidates points, or
-    its points times the swept coordinates exceed _MAX_ENTRIES, before any
-    array is built.
+    EnumerationTooLarge when the swept box's points times the swept
+    coordinates exceed _MAX_ENTRIES, before any array is built.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -437,10 +433,8 @@ def lattice_points(
     # stop - start, not len(), which raises past sys.maxsize: huge degrees reach the cap
     sizes = [ranges[i].stop - ranges[i].start for i in free]
     count = math.prod(sizes)
-    if count > max_candidates:
-        raise EnumerationTooLarge(count, max_candidates)
     if count * len(free) > _MAX_ENTRIES:
-        raise EnumerationTooLarge(count * len(free), _MAX_ENTRIES, "exponent entries")
+        raise EnumerationTooLarge(count * len(free), _MAX_ENTRIES)
     lo = np.array([ranges[i].start for i in free], dtype=np.int64)
     grid = np.indices(sizes, dtype=np.int64).reshape(len(free), count).T + lo
     if target_units is None:
@@ -469,21 +463,18 @@ def lattice_points(
 
 
 def enumerate_monomials(
-    spec: FeatureSpec,
-    max_degree: int,
-    dimensionless_only: bool = False,
-    max_candidates: int = 10**8,
+    spec: FeatureSpec, max_degree: int, dimensionless_only: bool = False
 ) -> MonomialSet:
     """All monomials with degree(alpha) <= max_degree, honoring each feature's
     sign constraint, in lexicographic exponent order: lattice_points over
     the whole degree box, or with dimensionless_only over the units-matrix
     kernel, where only the d - rank(U) free exponents are swept (pendulum
     degree 4: 32,805 free points for 6,082 monomials, not a 23.9 M box).
-    Raises EnumerationTooLarge when the swept box is too large (both caps are
+    Raises EnumerationTooLarge when the swept box is too large (the cap is
     described at lattice_points).
     """
     target = spec.system.zero() if dimensionless_only else None
-    return MonomialSet(lattice_points(spec, target, max_degree, max_candidates))
+    return MonomialSet(lattice_points(spec, target, max_degree))
 
 
 def sample_dimensional_monomials(
@@ -522,18 +513,15 @@ def reynolds_project(m: Monomial, spec: FeatureSpec) -> Monomial:
 
 
 def decoder_solutions(
-    spec: FeatureSpec,
-    target_units: UnitVector,
-    max_degree: int,
-    max_candidates: int = 10**8,
+    spec: FeatureSpec, target_units: UnitVector, max_degree: int
 ) -> MonomialSet:
     """All monomials with the given target units and degree <= max_degree,
     sorted by (degree, total_degree, exponent tuple): the lattice_points
     solutions, so empty when no integer solution exists at all or none lands
     inside the degree ball.  EnumerationTooLarge when the free box of the
-    lattice solve is too large (both caps are described at lattice_points).
+    lattice solve is too large (the cap is described at lattice_points).
     """
-    pts = lattice_points(spec, target_units, max_degree, max_candidates)
+    pts = lattice_points(spec, target_units, max_degree)
     mags = np.abs(pts)
     keys = tuple(pts.T[::-1]) + (mags.sum(axis=1), (mags * spec.weights()).max(axis=1))
     return MonomialSet(pts[np.lexsort(keys)])

@@ -269,19 +269,26 @@ def soft_threshold(rho: float, lam: float) -> float:
     return 0.0
 
 
+def _standardized(X: np.ndarray, y: np.ndarray):
+    """The standardized problem that fit_lasso solves: (mu, sd, live, XsT,
+    yc, c) with mu and sd the column means and standard deviations, live the
+    indices of the nonconstant columns, XsT their standardized values as
+    contiguous rows, yc the centered label and c = XsT yc / N."""
+    mu = X.mean(axis=0)
+    sd = X.std(axis=0)
+    live = np.flatnonzero(sd > 0.0)
+    XsT = np.ascontiguousarray(((X[:, live] - mu[live]) / sd[live]).T)
+    yc = y - y.mean()
+    return mu, sd, live, XsT, yc, XsT @ yc / len(y)
+
+
 @_serial_blas()
 def lasso_lambda_max(X: np.ndarray, y: np.ndarray) -> float:
-    """Smallest lambda at which every penalized weight is exactly zero,
-    computed on the internally standardized problem."""
-    X = np.asarray(X, float)
-    y = np.asarray(y, float)
-    sd = X.std(axis=0)
-    live = sd > 0.0
-    Xs = (X[:, live] - X[:, live].mean(axis=0)) / sd[live]
-    yc = y - y.mean()
-    if not np.any(live):
-        return 0.0
-    return float(np.max(np.abs(Xs.T @ yc)) / len(y))
+    """Smallest lambda at which fit_lasso leaves every penalized weight
+    exactly zero: max |c| of the standardized problem that fit_lasso
+    forms, bit for bit (0 without a nonconstant column)."""
+    c = _standardized(np.asarray(X, dtype=float), np.asarray(y, dtype=float))[-1]
+    return float(np.max(np.abs(c), initial=0.0))
 
 
 @_serial_blas()
@@ -326,15 +333,9 @@ def fit_lasso(
         raise ValueError("lambda must be >= 0")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    live = np.flatnonzero(sd > 0.0)
+    mu, sd, live, XsT, yc, c = _standardized(X, y)
     const_cols = np.flatnonzero(sd == 0.0)
-    Xs = (X[:, live] - mu[live]) / sd[live]
-    XsT = np.ascontiguousarray(Xs.T)
     y_mean = float(y.mean())
-    yc = y - y_mean
-    c = XsT @ yc / n
     w_std = np.zeros(len(live))
     Gw = np.zeros(len(live))
     active = np.flatnonzero(np.abs(c) > lam).tolist()
@@ -577,16 +578,11 @@ def pearson(model: RegressionModel, data: Dataset) -> float | None:
 
 
 def equivariance_residuals(
-    models: Sequence[RegressionModel],
-    rows,
-    n_group: int = 100,
-    seed: int = 0,
-    low: float = 0.1,
-    high: float = 10.0,
+    models: Sequence[RegressionModel], rows, n_group: int = 100, seed: int = 0
 ) -> list[float]:
     """Each model's max relative deviation of predict(g.x) vs g.predict(x)
-    over random group elements; 0 up to float roundoff for any
-    decoder-backed model.
+    over n_group random group elements, each base unit's factor drawn from
+    Unif(0.1, 10); 0 up to float roundoff for any decoder-backed model.
 
     The rows and their n_group rescaled copies are stacked and predicted
     for every model with one design matrix and one matrix of decoder
@@ -602,7 +598,7 @@ def equivariance_residuals(
     copies = [rows]
     label_scales = []
     for _ in range(n_group):
-        g = rng.uniform(low, high, size=first.spec.k)
+        g = rng.uniform(0.1, 10.0, size=first.spec.k)
         feat_scale = np.prod(g[None, :] ** (-U), axis=1)
         label_scales.append(float(np.prod(g ** (-v))))
         copies.append(rows * feat_scale[None, :])
@@ -624,10 +620,10 @@ def equivariance_residuals(
     return residuals
 
 
-def equivariance_residual(model: RegressionModel, rows, n_group: int = 100, seed: int = 0,
-                          low: float = 0.1, high: float = 10.0) -> float:
+def equivariance_residual(model: RegressionModel, rows, n_group: int = 100,
+                          seed: int = 0) -> float:
     """equivariance_residuals for one model."""
-    return equivariance_residuals([model], rows, n_group, seed, low, high)[0]
+    return equivariance_residuals([model], rows, n_group, seed)[0]
 
 
 def rescale_rows(g: GroupElement, rows, spec: FeatureSpec) -> np.ndarray:
@@ -659,12 +655,20 @@ def model_to_json_dict(model: RegressionModel) -> dict:
 
 def model_from_json_dict(data: dict) -> RegressionModel:
     """The model model_to_json_dict wrote.  DataError as monomials_from_json,
-    and unless there is one finite weight per monomial and a finite intercept."""
+    and unless there is one finite weight per monomial, a finite intercept,
+    label_units of k integer exponents and an object for metadata."""
     spec = FeatureSpec.from_json_dict(data["feature_spec"])
     monomials = monomials_from_json(data["monomials"], spec, "monomial")
     weights = data["weights"]
     if not isinstance(weights, list) or len(weights) != len(monomials):
         raise DataError(f"expected a list of {len(monomials)} weights, one per monomial")
+    label_units = data["label_units"]
+    if not (isinstance(label_units, list) and len(label_units) == spec.k
+            and all(isinstance(e, int) and not isinstance(e, bool) for e in label_units)):
+        raise DataError(f"label_units {label_units!r} is not a list of {spec.k} integers")
+    metadata = data.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DataError(f"metadata: expected an object, got {type(metadata).__name__}")
     decoder = (
         monomials_from_json([data["decoder"]], spec, "decoder")[0]
         if data.get("decoder") is not None
@@ -675,9 +679,9 @@ def model_from_json_dict(data: dict) -> RegressionModel:
         monomials,
         tuple(finite_number(w, f"weight {j}") for j, w in enumerate(weights)),
         decoder,
-        UnitVector(tuple(int(u) for u in data["label_units"])),
+        UnitVector(tuple(label_units)),
         finite_number(data.get("intercept", 0.0), "intercept"),
-        dict(data.get("metadata", {})),
+        dict(metadata),
     )
 
 

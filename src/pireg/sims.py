@@ -13,7 +13,7 @@ import numpy as np
 from .geometry import invariant_rows, scalarize
 from .pi import FeatureDef, FeatureSpec, Monomial, MonomialSet, parse_monomial, require_units
 from .regress import Dataset, serial_blas_available
-from .units import BaseUnitSystem, Quantity, UnitVector, parse_unit, si_system
+from .units import BaseUnitSystem, UnitVector, parse_unit, si_system
 
 
 class NonPositiveMass(ValueError):
@@ -72,14 +72,6 @@ def hamiltonian(m: float, k_s: float, L: float, g, p, q) -> float:
     return float(0.5 * (p @ p) / m + 0.5 * k_s * stretch * stretch - m * (g @ q))
 
 
-@dataclass(frozen=True)
-class PendulumRanges:
-    scalar_low: float = 1.0
-    scalar_high: float = 2.0
-    mag_low: float = 0.5
-    mag_high: float = 1.5
-
-
 def pendulum_spec() -> FeatureSpec:
     """The committed 9-feature pendulum configuration.
 
@@ -101,20 +93,23 @@ def _random_directions(rng, n):
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def sample_pendulum_dataset(
-    n: int, seed: int, ranges: PendulumRanges = PendulumRanges()
-) -> Dataset:
+# the sampler's ranges of m, k_s and L, and of the magnitudes |g|, |p|, |q|
+_SCALAR_RANGE = (1.0, 2.0)
+_MAGNITUDE_RANGE = (0.5, 1.5)
+
+
+def sample_pendulum_dataset(n: int, seed: int) -> Dataset:
     """Draw pendulum configurations and label them with exact Hamiltonians.
 
-    m, k_s, L ~ Unif(scalar range); |g|, |p|, |q| magnitudes ~ Unif(mag
-    range) with isotropic directions from normalized Gaussian triples;
-    each row is invariant_rows of (m, k_s, L) and (g, p, q).
+    m, k_s, L ~ Unif(1, 2); |g|, |p|, |q| magnitudes ~ Unif(0.5, 1.5) with
+    isotropic directions from normalized Gaussian triples; each row is
+    invariant_rows of (m, k_s, L) and (g, p, q).
     """
     rng = np.random.default_rng(seed)
-    m = rng.uniform(ranges.scalar_low, ranges.scalar_high, n)
-    k_s = rng.uniform(ranges.scalar_low, ranges.scalar_high, n)
-    L = rng.uniform(ranges.scalar_low, ranges.scalar_high, n)
-    mags = rng.uniform(ranges.mag_low, ranges.mag_high, (n, 3))
+    m = rng.uniform(*_SCALAR_RANGE, n)
+    k_s = rng.uniform(*_SCALAR_RANGE, n)
+    L = rng.uniform(*_SCALAR_RANGE, n)
+    mags = rng.uniform(*_MAGNITUDE_RANGE, (n, 3))
     g = mags[:, 0:1] * _random_directions(rng, n)
     p = mags[:, 1:2] * _random_directions(rng, n)
     q = mags[:, 2:3] * _random_directions(rng, n)
@@ -156,6 +151,9 @@ _RIETKERK_FIELDS = [
 _N_PHYSICAL = 12
 
 VEGETATION_UNITS = parse_unit("g m^-2", RIETKERK_SYSTEM)
+
+# mean vegetation, in g m^-2, below which a run is extinct
+EXTINCTION_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -232,6 +230,9 @@ class RietkerkState:
 
 @dataclass
 class RietkerkRun:
+    """A run's fields after its last step, the steps it took, and, for a run
+    that went extinct, that last step's index (else None)."""
+
     state: RietkerkState
     steps: int
     extinction_step: int | None
@@ -393,10 +394,7 @@ def _finished_run(fields, slot, dl, steps, dt, extinction_step) -> RietkerkRun:
 
 
 def integrate_rietkerk_batch(
-    params: list[RietkerkParams],
-    inits: list[RietkerkState],
-    extinction_threshold: float = 1e-3,
-    stop_on_extinction: bool = False,
+    params: list[RietkerkParams], inits: list[RietkerkState]
 ) -> list[RietkerkRun]:
     """Integrate runs i = 0..B-1, params[i] from inits[i], together; each
     result is bit-identical to integrating that run alone.
@@ -406,9 +404,9 @@ def integrate_rietkerk_batch(
     otherwise); the grid is taken from the states, so params.L and params.dl
     are not read.  Before the first step every run must satisfy
     max(D_u, D_w, D_v) dt / dl^2 <= 1/4; EulerUnstable names the first run
-    that does not.  Extinction (mean vegetation below the threshold, in
-    g m^-2) is a labeled outcome, not an error; with stop_on_extinction an
-    extinct run leaves the batch at that step.  Blowup (NaN in any field, or
+    that does not.  Extinction (mean vegetation below EXTINCTION_THRESHOLD)
+    is a labeled outcome, not an error, and it ends the run: an extinct run
+    leaves the batch at the step it goes extinct.  Blowup (NaN in any field, or
     negativity beyond the -1e-9 Euler undershoot allowance) raises
     NumericalBlowup for the lowest-index run that blows up, at the step it
     blows up, as a loop over the runs in index order would.
@@ -434,7 +432,6 @@ def integrate_rietkerk_batch(
     cells = shape[0] * shape[1]
     live = list(range(len(params)))  # batch slot -> run index, ascending
     runs: list[RietkerkRun | None] = [None] * len(params)
-    extinction: list[int | None] = [None] * len(params)
     blowup = None  # (run, step) of the lowest-index run that blew up
     minimum, add = np.minimum.reduce, np.add.reduce
     for step in range(n_steps):
@@ -450,17 +447,11 @@ def integrate_rietkerk_batch(
         # the pairwise sums of v.mean(axis=(1, 2)), each divided as numpy
         # divides it; a NaN mean is never below the threshold
         sums = add(batch.vegetation, 1, None, batch.sums).tolist()
-        stopped = ()
-        for slot in range(first):
-            if sums[slot] / cells < extinction_threshold:
-                run = live[slot]
-                if extinction[run] is None:
-                    extinction[run] = step
-                    if stop_on_extinction:
-                        runs[run] = _finished_run(x, slot, dl, step + 1, dt, step)
-                        stopped += (slot,)
-        if first < len(live) or stopped:
-            keep = [i for i in range(first) if i not in stopped]
+        extinct = [slot for slot in range(first) if sums[slot] / cells < EXTINCTION_THRESHOLD]
+        for slot in extinct:
+            runs[live[slot]] = _finished_run(x, slot, dl, step + 1, dt, step)
+        if first < len(live) or extinct:
+            keep = [i for i in range(first) if i not in extinct]
             live = [live[i] for i in keep]
             if not live:
                 break
@@ -468,37 +459,8 @@ def integrate_rietkerk_batch(
     if blowup is not None:
         raise NumericalBlowup(blowup[1], run=blowup[0])
     for slot, run in enumerate(live):
-        runs[run] = _finished_run(batch.fields, slot, dl, n_steps, dt, extinction[run])
+        runs[run] = _finished_run(batch.fields, slot, dl, n_steps, dt, None)
     return runs
-
-
-def integrate_rietkerk(
-    params: RietkerkParams,
-    init: RietkerkState | None = None,
-    seed: int | None = None,
-    n_cells: int | None = None,
-    extinction_threshold: float = 1e-3,
-    stop_on_extinction: bool = False,
-) -> RietkerkRun:
-    """integrate_rietkerk_batch for a single run (scheme, extinction and
-    blowup as described there).
-
-    When init is omitted it is drawn by random_rietkerk_state from `seed`
-    (n_cells then defaults to L/dl).
-    """
-    if init is None:
-        if seed is None:
-            raise ValueError("need an initial state or a seed to draw one")
-        if n_cells is None:
-            n_cells = int(round(params.L / params.dl))
-        init = random_rietkerk_state(n_cells, params.dl, np.random.default_rng(seed))
-    return integrate_rietkerk_batch(
-        [params], [init], extinction_threshold, stop_on_extinction
-    )[0]
-
-
-def mean_vegetation(state: RietkerkState) -> Quantity:
-    return Quantity(float(state.v.mean()), VEGETATION_UNITS)
 
 
 @dataclass(frozen=True)
@@ -560,10 +522,8 @@ def _integrate_chunk(seed: int, start: int, size: int,
     names the draw's index in the experiment."""
     draws = [_rietkerk_draw(seed, i, scale) for i in range(start, start + size)]
     try:
-        runs = integrate_rietkerk_batch(
-            [params for params, _ in draws], [init for _, init in draws],
-            stop_on_extinction=True,
-        )
+        runs = integrate_rietkerk_batch([params for params, _ in draws],
+                                        [init for _, init in draws])
     except NumericalBlowup as e:
         raise NumericalBlowup(e.step, run=start + e.run) from None
     return [None if run.extinct else float(run.state.v.mean()) for run in runs]
@@ -625,7 +585,6 @@ def rietkerk_experiment(
     n_test: int,
     seed: int,
     scale: GridScale = GridScale(),
-    max_runs: int | None = None,
 ) -> RietkerkExperiment:
     """Sample parameter draws (each physical parameter Unif(0.5x, 1.5x) its
     default; integration parameters fixed by the scale), integrate each, and
@@ -647,8 +606,8 @@ def rietkerk_experiment(
     Each draw passes the Euler stability check before it is dispatched, and
     no draw after one that fails is dispatched, so the lowest-index draw
     that fails raises: EulerUnstable, or NumericalBlowup after the draws
-    before it are consumed.  Raises InsufficientSurvivors if max_runs
-    (default 3x the requested total) integrations cannot fill both splits.
+    before it are consumed.  Raises InsufficientSurvivors if 3x the
+    requested total of integrations cannot fill both splits.
 
     The pool comes from _worker_pool: with one usable CPU, or no fork on
     the platform, the chunks run in the calling process.  The integrator
@@ -660,8 +619,6 @@ def rietkerk_experiment(
     from concurrent.futures import FIRST_COMPLETED, wait
 
     want = n_train + n_test
-    if max_runs is None:
-        max_runs = 3 * want
     spec = rietkerk_spec()
     workers, pool = _worker_pool()
     params = []  # of the draws dispatched so far, in draw order
@@ -673,7 +630,7 @@ def rietkerk_experiment(
     rows, labels = [], []
     n_runs = n_extinct = 0  # draws consumed
     try:
-        while len(rows) < want and n_runs < max_runs:
+        while len(rows) < want and n_runs < 3 * want:
             if n_runs in finished:
                 for label in finished.pop(n_runs).result():
                     if label is None:
@@ -689,7 +646,7 @@ def rietkerk_experiment(
             free = workers - len(running)
             while free and unstable is None and not failed:
                 deficit = want - len(rows) - open_draws
-                size = min(_MAX_BATCH, max_runs - len(params), -(-deficit // free))
+                size = min(_MAX_BATCH, 3 * want - len(params), -(-deficit // free))
                 if size <= 0:
                     break
                 start = len(params)
@@ -754,16 +711,16 @@ def planck_spec() -> FeatureSpec:
     return FeatureSpec(feats, PLANCK_SYSTEM)
 
 
-def blackbody_dataset(n: int, seed: int, amplitude: float = 2.0) -> Dataset:
+def blackbody_dataset(n: int, seed: int) -> Dataset:
     """Spectral radiance samples from the long-wavelength law
-    B = amplitude * c k_B T / lam^4, SI magnitudes."""
+    B = 2 c k_B T / lam^4, SI magnitudes."""
     rng = np.random.default_rng(seed)
     lam = rng.uniform(2e-6, 2e-5, n)
     T = rng.uniform(100.0, 1000.0, n)
     c = np.full(n, 299792458.0)
     k_B = np.full(n, 1.380649e-23)
     rows = np.column_stack([lam, T, c, k_B])
-    labels = amplitude * c * k_B * T / lam**4
+    labels = 2.0 * c * k_B * T / lam**4
     return Dataset(planck_spec(), rows, labels, INTENSITY_UNITS)
 
 

@@ -139,13 +139,15 @@ def test_enumerate_pendulum_dimensionless_count(tmp_path, capsys):
 def test_enumerate_too_large_is_spec_error(tmp_path, capsys):
     path = write_spec(tmp_path, sims.pendulum_spec())
     assert main(["enumerate", path, "--max-degree", "6"]) == 2
+    # 13^6 * 4 * 7 * 4 points of 9 exponents
+    assert f"{13**6 * 4 * 7 * 4 * 9} exponent entries" in capsys.readouterr().err
     for flags in ([], ["--dimensionless-only"]):
         assert main(["enumerate", path, "--max-degree", str(2**63)] + flags) == 2
 
 
 def test_enumerate_rietkerk_full_box_is_spec_error(monkeypatch, capsys):
-    # 3^16 = 43 M points of 16 exponents: under the 10^8 point cap, but an
-    # int64 sweep of it would take 5.5 GB, so it stops before np.indices
+    # 3^16 = 43 M points of 16 exponents: an int64 sweep of it would take
+    # 5.5 GB, so it stops before np.indices
     monkeypatch.setattr(np, "indices", None)
     assert main(["enumerate", str(SPECS / "rietkerk.json"), "--max-degree", "1"]) == 2
     assert f"{3**16 * 16} exponent entries" in capsys.readouterr().err
@@ -429,9 +431,21 @@ def _exps_entry(index, value):
      "model.json: intercept: -inf is not a finite number"),
     ("model.json", lambda payload: payload["decoder"]["exps"].__setitem__(1, 1.0),
      "model.json: decoder 0: exps [0, 1.0, "),
+    ("model.json", lambda payload: payload.update(label_units=[1.5, 2, -2]),
+     "model.json: label_units [1.5, 2, -2] is not a list of 3 integers"),
+    ("model.json", lambda payload: payload.update(label_units=[True, 2, -2]),
+     "model.json: label_units [True, 2, -2] is not a list of 3 integers"),
+    ("model.json", lambda payload: payload.update(label_units="J"),
+     "model.json: label_units 'J' is not a list of 3 integers"),
+    ("model.json", lambda payload: payload.update(label_units=[1, 2], decoder=None),
+     "model.json: label_units [1, 2] is not a list of 3 integers"),
+    ("model.json", lambda payload: payload.update(metadata=[1, 2]),
+     "model.json: metadata: expected an object, got list"),
 ], ids=["fractional-exponent", "exps-length", "int64-overflow", "units", "not-a-list",
         "not-objects", "nan-coeff", "model-inf-coeff", "model-nan-weight", "model-weight-count",
-        "model-inf-intercept", "model-float-decoder-exponent"])
+        "model-inf-intercept", "model-float-decoder-exponent", "model-fractional-label-unit",
+        "model-boolean-label-unit", "model-label-units-string",
+        "model-label-units-length-without-decoder", "model-metadata-list"])
 def test_monomial_and_model_file_errors_exit_3(pendulum_csvs, tmp_path, capsys, name, edit,
                                                message):
     spec = sims.pendulum_spec()

@@ -137,20 +137,20 @@ def test_enumerate_respects_degree_weights():
     assert max(abs(m.exps[0]) for m in out) == 2
 
 
-def test_enumeration_cap():
-    with pytest.raises(EnumerationTooLarge):
-        enumerate_monomials(MKLP, 2, max_candidates=10)
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(pi, "_MAX_ENTRIES", 10)
+    with pytest.raises(EnumerationTooLarge, match="exponent entries"):
+        enumerate_monomials(MKLP, 2)
 
 
 def test_cap_counts_the_free_box(pend_spec):
-    # pendulum degree 3: pivots m, k_s, L; free box 7^3 * 2 * 3 * 2 = 4,116
-    assert len(enumerate_monomials(pend_spec, 3, True, max_candidates=4116)) == 919
+    # pendulum degree 4 at the real cap: the dimensionless sweep holds 32,805
+    # free points of 6 exponents and passes; the full box, 9^6 * 3 * 5 * 3
+    # points of 9 exponents, does not
+    assert len(enumerate_monomials(pend_spec, 4, True)) == 6082
     with pytest.raises(EnumerationTooLarge) as err:
-        enumerate_monomials(pend_spec, 3, True, max_candidates=4115)
-    assert err.value.count == 4116
-    with pytest.raises(EnumerationTooLarge) as err:
-        enumerate_monomials(pend_spec, 3, max_candidates=10**6)
-    assert err.value.count == 7**6 * 2 * 3 * 2
+        enumerate_monomials(pend_spec, 4)
+    assert err.value.count == 9**6 * 3 * 5 * 3 * 9 and err.value.cap == 2**25
 
 
 def test_cap_counts_exponent_entries(monkeypatch, pend_spec):

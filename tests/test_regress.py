@@ -337,6 +337,23 @@ def test_lasso_lambda_max_zeroes_everything():
     assert math.isclose(fit.weights[0], y.mean(), rel_tol=1e-12)
 
 
+def test_lasso_is_all_zero_at_lambda_max_itself():
+    # lasso_lambda_max reads the standardized problem that fit_lasso forms,
+    # so at lambda_max, not only above it, every live weight stays 0; the
+    # springy design of seed 38, columns [:50], is a case where a separately
+    # formed X^T y left one weight live
+    for seed in (38, 0, 1, 2, 3):
+        data = sample_pendulum_dataset(128, seed=seed)
+        X = build_design_matrix(data.rows, enumerate_monomials(data.spec, 2, True))
+        y = data.label_values / build_design_matrix(
+            data.rows, [parse_monomial("k_s L^2", data.spec)])[:, 0]
+        for cols in (slice(0, 50), slice(50, 120), slice(100, 286), slice(0, 286)):
+            fit = fit_lasso(X[:, cols], y, lasso_lambda_max(X[:, cols], y))
+            live = X[:, cols].std(axis=0) > 0.0
+            assert not np.any(fit.weights[live]), (seed, cols)
+    assert lasso_lambda_max(np.ones((4, 2)), np.arange(4.0)) == 0.0
+
+
 def test_lasso_objective_never_increases():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(50, 20))

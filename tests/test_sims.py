@@ -20,16 +20,13 @@ from pireg.sims import (
     InsufficientSurvivors,
     NonPositiveMass,
     NumericalBlowup,
-    PendulumRanges,
     RietkerkParams,
     RietkerkState,
     blackbody_dataset,
     double_pendulum_feature_fixtures,
     double_pendulum_spec,
     hamiltonian,
-    integrate_rietkerk,
     integrate_rietkerk_batch,
-    mean_vegetation,
     pendulum_spec,
     planck_spec,
     random_rietkerk_state,
@@ -138,9 +135,10 @@ def test_sampler_respects_ranges():
     assert np.all(np.abs(rows[:, 8]) <= mags[:, 1] * mags[:, 2] + 1e-12)
 
 
-def test_sampler_degenerate_ranges_single_row():
-    point = PendulumRanges(scalar_low=1.0, scalar_high=1.0, mag_low=1.0, mag_high=1.0)
-    ds = sample_pendulum_dataset(1, seed=5, ranges=point)
+def test_sampler_degenerate_ranges_single_row(monkeypatch):
+    monkeypatch.setattr(sims, "_SCALAR_RANGE", (1.0, 1.0))
+    monkeypatch.setattr(sims, "_MAGNITUDE_RANGE", (1.0, 1.0))
+    ds = sample_pendulum_dataset(1, seed=5)
     row = ds.rows[0]
     assert np.allclose(row[:6], 1.0)  # all magnitudes pinned
     assert np.all(np.abs(row[6:]) <= 1.0 + 1e-12)  # dots of unit vectors
@@ -168,6 +166,16 @@ def uniform_state(n, u=2.0, w=1.5, v=0.0, dl=2.0):
     )
 
 
+def euler_steps(params, init, n_steps):
+    """(u, w, v) of one run after n_steps Euler steps of _EulerBatch, driven
+    directly: integrate_rietkerk_batch ends a plant-free run after a step."""
+    fields = np.array([[init.u], [init.w], [init.v]], dtype=float)
+    batch = sims._EulerBatch([params], fields, params.dt, 1.0 / (init.dl * init.dl))
+    for _ in range(n_steps):
+        batch.step()
+    return batch.fields[:, 0]
+
+
 def test_rietkerk_zero_vegetation_is_absorbing():
     params = RietkerkParams(T=1.0)
     rng = np.random.default_rng(0)
@@ -175,9 +183,9 @@ def test_rietkerk_zero_vegetation_is_absorbing():
         rng.uniform(0.5, 5.0, (8, 8)), rng.uniform(0.5, 5.0, (8, 8)),
         np.zeros((8, 8)), dl=2.0,
     )
-    run = integrate_rietkerk(params, init)
-    assert np.all(run.state.v == 0.0)
-    assert run.steps == 200
+    u, w, v = euler_steps(params, init, 200)
+    assert np.all(v == 0.0)
+    assert np.all(u != init.u) and np.all(w != init.w)  # the water did move
 
 
 def test_rietkerk_geometric_water_decay():
@@ -185,11 +193,10 @@ def test_rietkerk_geometric_water_decay():
     # only term left and Euler steps shrink u by the same factor every time
     params = RietkerkParams(R=0.0, D_u=0.0, T=0.5)
     u0 = 4.2
-    init = uniform_state(6, u=u0)
-    run = integrate_rietkerk(params, init)
-    n = run.steps
+    n = 100
+    u = euler_steps(params, uniform_state(6, u=u0), n)[0]
     expected = u0 * (1.0 - params.alpha * params.W0 * params.dt) ** n
-    assert np.allclose(run.state.u, expected, rtol=1e-12)
+    assert np.allclose(u, expected, rtol=1e-12)
 
 
 def euler_step_oracle(p, u, w, v, dl):
@@ -220,7 +227,7 @@ def euler_step_oracle(p, u, w, v, dl):
 def test_rietkerk_single_step_uniform_grid():
     params = RietkerkParams(T=0.005)  # exactly one step
     init = uniform_state(3, u=2.0, w=1.5, v=4.0)
-    run = integrate_rietkerk(params, init)
+    run = integrate_rietkerk_batch([params], [init])[0]
     assert run.steps == 1
     u1, w1, v1 = euler_step_oracle(
         params, init.u.copy(), init.w.copy(), init.v.copy(), init.dl
@@ -238,7 +245,7 @@ def test_rietkerk_single_step_random_grid():
         rng.uniform(0.5, 5.0, (5, 5)), rng.uniform(0.5, 5.0, (5, 5)),
         rng.uniform(0.0, 10.0, (5, 5)), dl=2.0,
     )
-    run = integrate_rietkerk(params, init)
+    run = integrate_rietkerk_batch([params], [init])[0]
     u1, w1, v1 = euler_step_oracle(
         params, init.u.copy(), init.w.copy(), init.v.copy(), init.dl
     )
@@ -249,7 +256,9 @@ def test_rietkerk_single_step_random_grid():
 
 def test_rietkerk_fields_stay_nonnegative():
     params = RietkerkParams(T=5.0)
-    run = integrate_rietkerk(params, seed=2, n_cells=16)
+    init = random_rietkerk_state(16, params.dl, np.random.default_rng(2))
+    run = integrate_rietkerk_batch([params], [init])[0]
+    assert run.steps == 1000
     for f in (run.state.u, run.state.w, run.state.v):
         assert f.min() >= -1e-9
 
@@ -263,22 +272,16 @@ def test_rietkerk_blowup_on_coarse_time_step():
         np.full((8, 8), 2.0), np.full((8, 8), 3.0), dl=2.0,
     )
     with pytest.raises(NumericalBlowup):
-        integrate_rietkerk(params, init)
+        integrate_rietkerk_batch([params], [init])
 
 
 def test_rietkerk_extinction_is_labeled_not_raised():
+    # extinction ends the run at the step it happens
     params = RietkerkParams(T=0.1)
     init = uniform_state(4, v=0.0)
-    run = integrate_rietkerk(params, init)
+    run = integrate_rietkerk_batch([params], [init])[0]
     assert run.extinct and run.extinction_step == 0
-    assert run.steps == 20  # kept integrating
-    early = integrate_rietkerk(params, init, stop_on_extinction=True)
-    assert early.extinct and early.steps == 1
-
-
-def test_rietkerk_requires_init_or_seed():
-    with pytest.raises(ValueError):
-        integrate_rietkerk(RietkerkParams())
+    assert run.steps == 1 and run.state.t == params.dt
 
 
 def test_random_state_seeding_fraction():
@@ -289,21 +292,12 @@ def test_random_state_seeding_fraction():
     assert state.v.max() <= 50.0 and state.u.max() <= 5.0
 
 
-def test_mean_vegetation_examples():
-    q3 = mean_vegetation(uniform_state(4, v=3.0))
-    assert q3.value == 3.0 and q3.units == VEGETATION_UNITS
-    assert mean_vegetation(uniform_state(4, v=0.0)).value == 0.0
-    board = np.indices((4, 4)).sum(axis=0) % 2 * 2.0
-    state = RietkerkState(np.zeros((4, 4)), np.zeros((4, 4)), board, 2.0)
-    assert mean_vegetation(state).value == 1.0
-
-
 # --- batched Rietkerk integrator ---------------------------------------------
 
 
 def roll_loop_oracle(params, init, extinction_threshold=1e-3, stop_on_extinction=False):
-    """The single-run np.roll Euler loop that integrate_rietkerk used before it
-    became a batch of one, frozen as the bitwise reference.  Returns
+    """The single-run np.roll Euler loop that the one-run integrator used
+    before it became a batch of one, frozen as the bitwise reference.  Returns
     (u, w, v, steps, extinction_step); raises NumericalBlowup(step)."""
 
     def laplacian(f, inv_dl2):
@@ -361,16 +355,15 @@ def varied_runs(n_runs, extinct=(), shape=(9, 12), T=1.0, seed=0, **fixed):
     return params, inits
 
 
-@pytest.mark.parametrize("stop", [False, True])
 @pytest.mark.parametrize("n_runs, extinct",
                          [(1, ()), (1, (0,)), (3, (1,)), (8, (2, 5)), (2, (1,))])
-def test_batch_bit_identical_to_roll_loop(n_runs, extinct, stop):
+def test_batch_bit_identical_to_roll_loop(n_runs, extinct):
     params, inits = varied_runs(n_runs, extinct, seed=n_runs)
     before = [(s.u.copy(), s.w.copy(), s.v.copy()) for s in inits]
-    runs = integrate_rietkerk_batch(params, inits, stop_on_extinction=stop)
+    runs = integrate_rietkerk_batch(params, inits)
     assert len(runs) == n_runs
     for i, (p, init, run) in enumerate(zip(params, inits, runs)):
-        u, w, v, steps, extinction_step = roll_loop_oracle(p, init, stop_on_extinction=stop)
+        u, w, v, steps, extinction_step = roll_loop_oracle(p, init, stop_on_extinction=True)
         assert np.array_equal(run.state.u, u), i
         assert np.array_equal(run.state.w, w), i
         assert np.array_equal(run.state.v, v), i
@@ -392,7 +385,7 @@ def test_batch_bit_identical_to_roll_loop_on_desk_grid():
     assert params[0] != params[1]
     runs = integrate_rietkerk_batch(params, inits)
     for i, (p, init, run) in enumerate(zip(params, inits, runs)):
-        u, w, v, steps, extinction_step = roll_loop_oracle(p, init)
+        u, w, v, steps, extinction_step = roll_loop_oracle(p, init, stop_on_extinction=True)
         assert np.array_equal(run.state.u, u), i
         assert np.array_equal(run.state.w, w), i
         assert np.array_equal(run.state.v, v), i
@@ -404,7 +397,7 @@ def test_batch_bit_identical_to_roll_loop_on_desk_grid_with_a_run_leaving():
     # one going extinct mid-run and leaving, so the batch is rebuilt from
     # the other two and steps on
     params, inits = varied_runs(3, extinct=(1,), shape=(50, 50), T=1.0, seed=11)
-    runs = integrate_rietkerk_batch(params, inits, stop_on_extinction=True)
+    runs = integrate_rietkerk_batch(params, inits)
     for i, (p, init, run) in enumerate(zip(params, inits, runs)):
         u, w, v, steps, extinction_step = roll_loop_oracle(p, init, stop_on_extinction=True)
         assert np.array_equal(run.state.u, u), i
@@ -427,14 +420,13 @@ def test_batch_blowup_in_the_step_a_lower_run_goes_extinct():
     inits = [RietkerkState(rng.uniform(0.0, 5.0, shape), rng.uniform(0.0, 5.0, shape),
                            np.full(shape, v0), 2.0) for v0 in (3e-3, 1.0)]
     with np.errstate(all="ignore"):
-        for stop in (False, True):
-            assert roll_loop_oracle(params[0], inits[0], stop_on_extinction=stop)[4] == 10
-            with pytest.raises(NumericalBlowup) as serial:
-                roll_loop_oracle(params[1], inits[1], stop_on_extinction=stop)
-            assert serial.value.step == 10
-            with pytest.raises(NumericalBlowup) as batched:
-                integrate_rietkerk_batch(params, inits, stop_on_extinction=stop)
-            assert (batched.value.run, batched.value.step) == (1, 10)
+        assert roll_loop_oracle(params[0], inits[0], stop_on_extinction=True)[4] == 10
+        with pytest.raises(NumericalBlowup) as serial:
+            roll_loop_oracle(params[1], inits[1], stop_on_extinction=True)
+        assert serial.value.step == 10
+        with pytest.raises(NumericalBlowup) as batched:
+            integrate_rietkerk_batch(params, inits)
+        assert (batched.value.run, batched.value.step) == (1, 10)
 
 
 def test_batch_blowup_reports_lowest_run_at_its_serial_step():
@@ -454,14 +446,13 @@ def test_batch_blowup_reports_lowest_run_at_its_serial_step():
     steps = []
     for p, init in zip(params[1:], inits[1:]):
         with pytest.raises(NumericalBlowup) as serial:
-            roll_loop_oracle(p, init)
+            roll_loop_oracle(p, init, stop_on_extinction=True)
         steps.append(serial.value.step)
     assert steps[1] < steps[0]
-    roll_loop_oracle(params[0], inits[0])  # run 0 is stable
-    for stop in (False, True):
-        with pytest.raises(NumericalBlowup, match=r"\brun 1\b") as batched:
-            integrate_rietkerk_batch(params, inits, stop_on_extinction=stop)
-        assert batched.value.step == steps[0] and batched.value.run == 1
+    roll_loop_oracle(params[0], inits[0], stop_on_extinction=True)  # run 0 is stable
+    with pytest.raises(NumericalBlowup, match=r"\brun 1\b") as batched:
+        integrate_rietkerk_batch(params, inits)
+    assert batched.value.step == steps[0] and batched.value.run == 1
 
 
 def test_batch_rejects_euler_unstable_diffusion():
@@ -476,7 +467,7 @@ def test_batch_rejects_euler_unstable_diffusion():
         assert isinstance(err.value, ValueError)
         assert err.value.run == 2 and err.value.value == 0.3125
     with pytest.raises(EulerUnstable, match=r"\brun 0\b"):
-        integrate_rietkerk(RietkerkParams(dt=50.0, T=500.0), inits[0])
+        integrate_rietkerk_batch([RietkerkParams(dt=50.0, T=500.0)], inits[:1])
     at_limit = params[:2] + [replace(params[2], D_u=200.0)]
     runs = integrate_rietkerk_batch(at_limit, inits)
     assert runs[2].steps == 200
@@ -548,7 +539,7 @@ def draws_one_by_one():
     out = []
     for i in range(6):
         params, init = sims._rietkerk_draw(1, i, EXTINCT_SCALE)
-        run = integrate_rietkerk(params, init, stop_on_extinction=True)
+        run = integrate_rietkerk_batch([params], [init])[0]
         out.append(None if run.extinct else (params.feature_row(), float(run.state.v.mean())))
     return out
 
@@ -655,9 +646,21 @@ def test_rietkerk_experiment_instability_names_the_draw(monkeypatch, max_batch):
     assert err.value.run == 4 and err.value.value == 0.3125
 
 
-def test_rietkerk_experiment_insufficient_survivors():
-    with pytest.raises(InsufficientSurvivors):
-        rietkerk_experiment(2, 1, seed=5, scale=TINY, max_runs=1)
+def test_rietkerk_experiment_insufficient_survivors(monkeypatch):
+    # every draw starts without plants, so every run goes extinct at its
+    # first step, and 3 x 3 draws leave no survivor
+    draw = sims._rietkerk_draw
+    drawn = []
+
+    def plant_free_draw(seed, run_idx, scale):
+        params, init = draw(seed, run_idx, scale)
+        drawn.append(run_idx)
+        return params, replace(init, v=np.zeros_like(init.v))
+
+    monkeypatch.setattr(sims, "_rietkerk_draw", plant_free_draw)
+    with pytest.raises(InsufficientSurvivors, match="0 surviving runs from 9 integrations, need 3"):
+        rietkerk_experiment(2, 1, seed=5, scale=TINY)
+    assert max(drawn) == 8
 
 
 def test_rietkerk_spec_shape():
@@ -692,14 +695,14 @@ def test_planck_decoder_unique():
 
 
 def test_blackbody_labels_formula():
-    ds = blackbody_dataset(200, seed=6, amplitude=2.0)
+    ds = blackbody_dataset(200, seed=6)
     lam, T = ds.rows[:, 0], ds.rows[:, 1]
     assert np.all((lam >= 2e-6) & (lam <= 2e-5))
     assert np.all((T >= 100.0) & (T <= 1000.0))
     expect = 2.0 * 299792458.0 * 1.380649e-23 * T / lam**4
     assert np.allclose(ds.label_values, expect, rtol=1e-12)
     assert ds.label_units == INTENSITY_UNITS
-    again = blackbody_dataset(200, seed=6, amplitude=2.0)
+    again = blackbody_dataset(200, seed=6)
     assert np.array_equal(ds.rows, again.rows)
 
 
