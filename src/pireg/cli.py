@@ -171,9 +171,9 @@ def cmd_regress(args, config) -> int:
 
     # the whole ensemble scored from one train, one test and one stacked design
     scale = loss_scale or models[0].decoder
-    train_mse, train_dmse = regress.prediction_errors(models, train, scale)
+    train_mse, train_dmse, _ = regress.prediction_errors(models, train, scale)
     if test is not None:
-        test_mse, test_dmse = regress.prediction_errors(models, test, scale)
+        test_mse, test_dmse, _ = regress.prediction_errors(models, test, scale)
         residuals = regress.equivariance_residuals(models, test.rows[:100], n_group=100,
                                                    seed=args.seed)
     results = {"n_features": len(features), "n_models": len(models), "models": []}
@@ -257,7 +257,7 @@ def run_springy(seed: int, scale: str, out_dir, lam: float = 1e-2) -> dict:
         lasso_bad = regress.fit_monomial_model(small, polluted, decoder, method="lasso", lam=lam,
                                                max_sweeps=20000, metadata=meta)
         # one test design scores both fits
-        test_mse, test_dmse = regress.prediction_errors([ols, lasso], test, decoder)
+        test_mse, test_dmse, _ = regress.prediction_errors([ols, lasso], test, decoder)
         ols_mse = test_dmse[0]
         results = {
             "n_features": len(features),
@@ -319,19 +319,19 @@ def run_blackbody(seed: int, scale: str, out_dir) -> dict:
         "s": len(basis),
         "n_decoders": len(decoders),
         "decoders": [pi.format_monomial(d, spec) for d in decoders],
-        "models": [
-            {
-                "decoder": pi.format_monomial(m.decoder, spec),
-                "constant": m.weights[0],
-                "test_mse": regress.mse(m, test),
-                "test_dimensionless_mse": regress.dimensionless_mse(m, test, m.decoder),
-                "equivariance_residual": regress.equivariance_residual(
-                    m, test.rows, n_group=100, seed=seed
-                ),
-            }
-            for m in models
-        ],
+        "models": [],
     }
+    for m in models:
+        test_mse, test_dmse, _ = regress.prediction_errors([m], test, m.decoder)
+        results["models"].append({
+            "decoder": pi.format_monomial(m.decoder, spec),
+            "constant": m.weights[0],
+            "test_mse": test_mse[0],
+            "test_dimensionless_mse": test_dmse[0],
+            "equivariance_residual": regress.equivariance_residual(
+                m, test.rows, n_group=100, seed=seed
+            ),
+        })
     regress.save_dataset_csv(train, out_dir / "train.csv")
     regress.save_dataset_csv(test, out_dir / "test.csv")
     regress.save_model(out_dir / "model.json", models[0])
@@ -375,24 +375,25 @@ def run_rietkerk(seed: int, scale: str, out_dir,
             metadata={"seed": seed, "scale": scale},
         )
 
+    def scores(model):
+        # one test design gives the error and the correlation
+        errors, _, preds = regress.prediction_errors([model], exp.test)
+        return {"test_mse": errors[0],
+                "test_pearson": regress.pearson(preds[0], exp.test.label_values),
+                "rank": model.metadata["rank"]}
+
     results = {
         "metadata": exp.metadata,
         "n_features_dimensionless": len(dimless_feats),
         "n_features_baseline": len(baseline_feats),
         "decoder": pi.format_monomial(decoder, spec),
         "dimensionless": {
-            "test_mse": regress.mse(dimless, exp.test),
-            "test_pearson": regress.pearson(dimless, exp.test),
-            "rank": dimless.metadata["rank"],
+            **scores(dimless),
             "equivariance_residual": regress.equivariance_residual(
                 dimless, exp.test.rows, n_group=100, seed=seed
             ),
         },
-        "baseline": {
-            "test_mse": regress.mse(baseline, exp.test),
-            "test_pearson": regress.pearson(baseline, exp.test),
-            "rank": baseline.metadata["rank"],
-        },
+        "baseline": scores(baseline),
     }
     regress.save_dataset_csv(exp.train, out_dir / "train.csv")
     regress.save_dataset_csv(exp.test, out_dir / "test.csv")

@@ -314,7 +314,8 @@ def _int_pow(base, n: int):
 
 
 # entries of the (p, rows) product a block of the fold works on: 512 KB,
-# so the product and its gathered factor stay in a 2 MB L2 cache
+# so the product and its gathered factor stay in a 2 MB L2 cache; the
+# stacks of regress.equivariance_residuals keep to the same budget
 _BLOCK_ENTRIES = 2**16
 
 

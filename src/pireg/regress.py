@@ -25,11 +25,14 @@ from typing import Sequence
 
 import numpy as np
 
+from . import pi
 from .pi import (
     DataError,
     FeatureSpec,
     Monomial,
     MonomialSet,
+    NonFinite,
+    PoleAtZero,
     SCHEMA_VERSION,
     as_monomial_set,
     build_design_matrix,
@@ -433,11 +436,6 @@ def _label_unit_columns(data: Dataset, monomials: Sequence[Monomial], what: str)
     return values
 
 
-# entries of the stacked design matrix plus one prediction column per model
-# that one equivariance_residuals stack builds
-_STACK_ENTRIES = 2**22
-
-
 @_serial_blas()
 def _predict_blocks(
     models: Sequence[RegressionModel], rows: np.ndarray, blocks: int
@@ -545,20 +543,17 @@ def fit_monomial_model(data: Dataset, monomials, decoder: Monomial | None,
 
 def prediction_errors(
     models: Sequence[RegressionModel], data: Dataset, scale: Monomial | None = None
-) -> tuple[list[float], list[float] | None]:
-    """Each model's mean squared error on data and, given a scale monomial S
-    with the label units, its mean of ((pred - label)/S(x))^2 (else None),
-    from one design matrix for all models."""
-    resid = _predict_blocks(models, data.rows, 1) - data.label_values
+) -> tuple[list[float], list[float] | None, np.ndarray]:
+    """Each model's mean squared error on data, given a scale monomial S with
+    the label units its mean of ((pred - label)/S(x))^2 (else None), and the
+    (len(models), N) predictions they score, all from one design matrix."""
+    preds = _predict_blocks(models, data.rows, 1)
+    resid = preds - data.label_values
     errors = [float(np.mean(r * r)) for r in resid]
     if scale is None:
-        return errors, None
+        return errors, None, preds
     resid /= _label_unit_columns(data, [scale], "loss scale")[:, 0]
-    return errors, [float(np.mean(r * r)) for r in resid]
-
-
-def mse(model: RegressionModel, data: Dataset) -> float:
-    return prediction_errors([model], data)[0][0]
+    return errors, [float(np.mean(r * r)) for r in resid], preds
 
 
 def dimensionless_mse(model: RegressionModel, data: Dataset, scale: Monomial) -> float:
@@ -567,12 +562,10 @@ def dimensionless_mse(model: RegressionModel, data: Dataset, scale: Monomial) ->
 
 
 @_serial_blas()
-def pearson(model: RegressionModel, data: Dataset) -> float | None:
-    """Correlation of predictions and labels over data's rows; None, where
-    it is undefined: fewer than 2 rows, or a constant prediction or label."""
-    pred = predict_rows(model, data.rows)
-    truth = data.label_values
-    if data.n < 2 or np.ptp(pred) == 0.0 or np.ptp(truth) == 0.0:
+def pearson(pred: np.ndarray, truth: np.ndarray) -> float | None:
+    """Correlation of predictions and labels; None, where it is undefined:
+    fewer than 2 rows, or a constant prediction or label."""
+    if len(pred) < 2 or np.ptp(pred) == 0.0 or np.ptp(truth) == 0.0:
         return None
     return float(np.corrcoef(pred, truth)[0, 1])
 
@@ -584,40 +577,53 @@ def equivariance_residuals(
     over n_group random group elements, each base unit's factor drawn from
     Unif(0.1, 10); 0 up to float roundoff for any decoder-backed model.
 
-    The rows and their n_group rescaled copies are stacked and predicted
-    for every model with one design matrix and one matrix of decoder
-    columns per call of _predict_blocks, each call covering at most
-    _STACK_ENTRIES entries; every copy's predictions equal predict_rows on
-    it bit for bit, so each residual is that of one predict_rows call per
-    copy."""
+    Group copy 0 is the rows themselves and copy c the rows rescaled by the
+    c-th element.  The copies are predicted for every model in stacks of
+    consecutive copies, one design matrix and one matrix of decoder columns
+    per call of _predict_blocks, each stack holding at most
+    pi._BLOCK_ENTRIES design entries plus one prediction column per model
+    (one copy where a copy alone holds more); a stack's copies are built
+    when it is, and its deviations folded into the running maxima.  Every
+    copy's predictions equal predict_rows on it bit for bit, so each
+    residual is that of one predict_rows call per copy at any budget.
+    Where a copy fails to evaluate, the first failing copy raises what
+    predicting it alone would: PoleAtZero, or NonFinite naming the group
+    copy and the row of rows."""
     rows = np.asarray(rows, dtype=float)
     first = models[0]
     rng = np.random.default_rng(seed)
     U = np.array([f.units.exps for f in first.spec.features], dtype=float)
     v = np.array(first.label_units.exps, dtype=float)
-    copies = [rows]
-    label_scales = []
-    for _ in range(n_group):
-        g = rng.uniform(0.1, 10.0, size=first.spec.k)
-        feat_scale = np.prod(g[None, :] ** (-U), axis=1)
-        label_scales.append(float(np.prod(g ** (-v))))
-        copies.append(rows * feat_scale[None, :])
     width = len(first.monomials) + len(models)
-    per_call = max(1, _STACK_ENTRIES // max(1, rows.shape[0] * width))
-    preds = []
-    for start in range(0, len(copies), per_call):
-        chunk = copies[start:start + per_call]
-        preds.append(_predict_blocks(models, np.concatenate(chunk), len(chunk))
-                     .reshape(len(models), len(chunk), len(rows)))
-    label_scales = np.array(label_scales)[:, None]
-    residuals = []
-    for pred in np.concatenate(preds, axis=1):
-        lhs, rhs = pred[1:], pred[0] * label_scales
-        denom = np.maximum(np.abs(lhs) + np.abs(rhs), 1e-300)
+    per_stack = max(1, pi._BLOCK_ENTRIES // max(1, rows.shape[0] * width))
+    worst = np.zeros(len(models))
+    for start in range(0, n_group + 1, per_stack):
+        copies = [rows] if start == 0 else []
+        label_scales = []
+        for _ in range(max(start, 1), min(start + per_stack, n_group + 1)):
+            g = rng.uniform(0.1, 10.0, size=first.spec.k)
+            feat_scale = np.prod(g[None, :] ** (-U), axis=1)
+            label_scales.append(float(np.prod(g ** (-v))))
+            copies.append(rows * feat_scale[None, :])
+        try:
+            pred = _predict_blocks(models, np.concatenate(copies), len(copies))
+        except (PoleAtZero, NonFinite):
+            # the first failing copy alone names the error, at any budget
+            for c, copy in enumerate(copies, start):
+                try:
+                    _predict_blocks(models, copy, 1)
+                except NonFinite as err:
+                    raise NonFinite(f"group copy {c}: {err}") from None
+            raise
+        pred = pred.reshape(len(models), len(copies), len(rows))
+        if start == 0:
+            base, pred = pred[:, 0], pred[:, 1:]
+        rhs = base[:, None, :] * np.array(label_scales)[:, None]
+        denom = np.maximum(np.abs(pred) + np.abs(rhs), 1e-300)
         # worst copy, skipping a copy whose deviation is NaN
-        dev = np.max(np.abs(lhs - rhs) / denom, axis=1)
-        residuals.append(float(np.fmax.reduce(dev, initial=0.0)))
-    return residuals
+        dev = np.max(np.abs(pred - rhs) / denom, axis=2)
+        worst = np.fmax(worst, np.fmax.reduce(dev, axis=1, initial=0.0))
+    return [float(w) for w in worst]
 
 
 def equivariance_residual(model: RegressionModel, rows, n_group: int = 100,

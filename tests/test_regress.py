@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from pireg.pi import (
     parse_monomial,
     sample_dimensional_monomials,
 )
-from pireg import regress
+from pireg import pi, regress
 from pireg.regress import (
     DataError,
     Dataset,
@@ -38,7 +39,6 @@ from pireg.regress import (
     lasso_lambda_max,
     load_dataset_csv,
     load_model,
-    mse,
     pearson,
     predict,
     predict_rows,
@@ -240,6 +240,29 @@ def test_design_matrix_error_order_follows_monomials():
     with pytest.raises(PoleAtZero) as err:
         build_design_matrix(rows, [Monomial((3, 0, 0, -1))])
     assert err.value.feature_index == 3
+
+
+def test_design_matrix_errors_in_a_later_block_name_the_global_row(monkeypatch):
+    # blocks of 600 rows for 4 monomials: 2048 rows span 4 blocks, and the
+    # pole and both overflows sit in the third and fourth
+    monkeypatch.setattr(pi, "_BLOCK_ENTRIES", 4 * 600)
+    rows = np.ones((2048, 4))
+    rows[[1500, 2000], 0] = 1e300
+    rows[1900, 1] = 0.0
+    overflow = Monomial((3, 0, 0, 0))
+    pole = Monomial((0, -1, 0, 0))
+    plain = [Monomial((1, 1, 0, 0)), Monomial((0, 0, 2, -1))]
+    for monos, kind in [(plain + [overflow, pole], NonFinite),
+                        (plain + [pole, overflow], PoleAtZero)]:
+        with pytest.raises(kind) as old, np.errstate(over="ignore"):
+            column_loop_oracle(rows, monos)
+        with pytest.raises(kind) as new:
+            build_design_matrix(rows, monos)
+        assert str(new.value) == str(old.value)
+        if kind is PoleAtZero:
+            assert new.value.feature_index == old.value.feature_index == 1
+        else:
+            assert "at row 1500: exps=(3, 0, 0, 0)" in str(new.value)
 
 
 def test_design_matrix_rejects_wrong_exponent_length():
@@ -626,16 +649,15 @@ def test_equivariance_residual_is_tiny_for_decoder_models():
 
 def test_pearson_is_none_where_undefined():
     data = small_dataset(16, seed=19)
-    model = truth_model(data.spec)
-    one_row = Dataset(data.spec, data.rows[:1], data.label_values[:1], JOULE)
-    flat_labels = Dataset(data.spec, data.rows, np.full(data.n, 2.0), JOULE)
+    pred = predict_rows(truth_model(data.spec), data.rows)
+    truth = data.label_values
     flat_model = RegressionModel(data.spec, (Monomial.constant(data.spec.d),), (3.0,), None, JOULE)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert pearson(model, one_row) is None
-        assert pearson(model, flat_labels) is None
-        assert pearson(flat_model, data) is None
-        assert pearson(model, data) == pytest.approx(1.0, abs=1e-12)
+        assert pearson(pred[:1], truth[:1]) is None
+        assert pearson(pred, np.full(data.n, 2.0)) is None
+        assert pearson(predict_rows(flat_model, data.rows), truth) is None
+        assert pearson(pred, truth) == pytest.approx(1.0, abs=1e-12)
 
 
 def per_group_equivariance_oracle(model, rows, n_group=100, seed=0, low=0.1, high=10.0):
@@ -658,17 +680,25 @@ def per_group_equivariance_oracle(model, rows, n_group=100, seed=0, low=0.1, hig
     return worst
 
 
-def test_equivariance_residual_matches_per_group_oracle(monkeypatch):
+@pytest.fixture(scope="module")
+def springy_desk():
+    """The springy desk split at seed 0 (2048 training rows), its 286
+    features, the decoder k_s L^2, their OLS model and the first 100 test
+    rows."""
     data = sample_pendulum_dataset(2048 + 512, 0)
+    train = Dataset(data.spec, data.rows[:2048], data.label_values[:2048], data.label_units)
+    features = enumerate_monomials(data.spec, 2, dimensionless_only=True)
+    decoder = parse_monomial("k_s L^2", data.spec)
+    ols = fit_monomial_model(train, features, decoder)
+    return data, features, decoder, ols, data.rows[2048:2148]
+
+
+def test_equivariance_residual_matches_per_group_oracle(springy_desk, monkeypatch):
+    data, features, decoder, ols, points = springy_desk
     spec = data.spec
-    train = Dataset(spec, data.rows[:2048], data.label_values[:2048], data.label_units)
     small = Dataset(spec, data.rows[:128], data.label_values[:128], data.label_units)
-    points = data.rows[2048:2148]
-    features = enumerate_monomials(spec, 2, dimensionless_only=True)
     no_constant = [m for m in features if m != Monomial.constant(spec.d)]
     assert len(no_constant) == 285
-    decoder = parse_monomial("k_s L^2", spec)
-    ols = fit_monomial_model(train, features, decoder)
     lasso = fit_monomial_model(small, no_constant, decoder, method="lasso", lam=1e-2,
                                max_sweeps=20000)
     assert lasso.intercept != 0.0
@@ -701,11 +731,54 @@ def test_equivariance_residual_matches_per_group_oracle(monkeypatch):
     assert oracle[-1] > 1e-3
     # stacks of at most 7 copies of one model: 15 stacks, the last of 3
     # copies; the four models share stacks of at most 6
-    monkeypatch.setattr(regress, "_STACK_ENTRIES", 7 * 100 * (286 + 1))
+    monkeypatch.setattr(pi, "_BLOCK_ENTRIES", 7 * 100 * (286 + 1))
     assert equivariance_residual(ols, points) == per_group_equivariance_oracle(ols, points)
     assert equivariance_residuals(shared, points, seed=5) == oracle
     with pytest.raises(ValueError, match="share one monomial set"):
         equivariance_residuals([ols, lasso], points)
+
+
+def test_equivariance_residual_memory_is_bounded_by_the_block_budget(springy_desk):
+    # a stack's design, the fold's block product and its gathered factor
+    # each hold at most one budget of float64 entries, and the stack's
+    # copies, power tables and predictions less: four budgets bound the
+    # traced peak, where one stack of all 101 copies took 26 MB
+    ols, points = springy_desk[3:]
+    expected = equivariance_residual(ols, points)
+    tracemalloc.start()
+    try:
+        assert equivariance_residual(ols, points) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * pi._BLOCK_ENTRIES * 8
+
+
+def test_equivariance_overflow_names_the_same_copy_and_row_at_any_budget(monkeypatch):
+    # (k_s L^2)^4 is 1e300 on row 3 and overflows on some rescaled copies
+    decoder = Monomial((0, 4, 8, 0))
+    model = RegressionModel(MKLP, (Monomial.constant(4),), (1.0,), decoder,
+                            monomial_units(decoder, MKLP))
+    rows = np.ones((5, 4))
+    rows[3, 1] = 1e75
+    rng = np.random.default_rng(2)
+    U = np.array([f.units.exps for f in MKLP.features], dtype=float)
+    for copy in range(1, 101):
+        scaled = rows * np.prod(rng.uniform(0.1, 10.0, size=3)[None, :] ** (-U), axis=1)
+        try:
+            predict_rows(model, scaled)
+        except NonFinite as err:
+            expected = f"group copy {copy}: {err}"
+            break
+    assert expected == "group copy 17: monomial evaluation overflowed at row 3: exps=(0, 4, 8, 0)"
+    messages = []
+    # one stack of all 101 copies, then stacks of 4, copy 17 the second of its stack
+    for budget in [pi._BLOCK_ENTRIES, 4 * 5 * 2]:
+        monkeypatch.setattr(pi, "_BLOCK_ENTRIES", budget)
+        with pytest.raises(NonFinite) as err:
+            equivariance_residual(model, rows, seed=2)
+        messages.append(str(err.value))
+    assert messages == [expected, expected]
 
 
 def test_decoder_units_checked_at_construction():
@@ -736,7 +809,7 @@ def test_fit_monomial_model_recovers_hamiltonian_weights():
         target = named.get(expr, 0.0)
         assert abs(w - target) < 1e-6
     assert dimensionless_mse(model, data, decoder) < 1e-20
-    assert mse(model, data) < 1e-18
+    assert prediction_errors([model], data)[0][0] < 1e-18
 
 
 def test_fit_monomial_model_loss_scale_weighting():
@@ -795,10 +868,12 @@ def test_list_forms_equal_the_one_model_calls():
     data, decoders, cases = shared_fit_cases()
     models = fit_monomial_models(data, cases["ols"][0], decoders)
     scale = parse_monomial("k_s L^2", data.spec)
-    errors, scaled = prediction_errors(models, data, scale)
-    assert errors == [mse(m, data) for m in models]
+    errors, scaled, preds = prediction_errors(models, data, scale)
+    assert errors == [prediction_errors([m], data)[0][0] for m in models]
     assert scaled == [dimensionless_mse(m, data, scale) for m in models]
-    assert prediction_errors(models, data) == (errors, None)
+    assert preds.tobytes() == np.array([predict_rows(m, data.rows) for m in models]).tobytes()
+    unscaled = prediction_errors(models, data)
+    assert unscaled[:2] == (errors, None) and unscaled[2].tobytes() == preds.tobytes()
     residuals = equivariance_residuals(models, data.rows[:20], n_group=30, seed=2)
     assert residuals == [equivariance_residual(m, data.rows[:20], n_group=30, seed=2)
                          for m in models]
