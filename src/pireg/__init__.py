@@ -15,15 +15,11 @@ from .units import (
     UnknownUnit,
     format_unit,
     parse_unit,
-    q_add,
-    q_mul,
-    q_pow,
     rescale,
     si_system,
 )
 from .intlinalg import (
     IntMatrix,
-    SnfDecomposition,
     nullspace_basis,
     rank,
     smith_normal_form,
@@ -35,7 +31,6 @@ from .pi import (
     FeatureSpec,
     Monomial,
     MonomialSet,
-    apply_decoder,
     build_design_matrix,
     decoder_solutions,
     degree,

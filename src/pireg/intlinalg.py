@@ -38,16 +38,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, r: int, c: int) -> "IntMatrix":
-        return cls([[0] * c for _ in range(r)])
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([list(col) for col in zip(*self.entries)])
-
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
@@ -265,20 +255,18 @@ def nullspace_basis(A: IntMatrix) -> list[tuple[int, ...]]:
     return [_sign_normalized(snf.S.entries[i]) for i in range(rk, A.rows)]
 
 
-def solve_diophantine(A: IntMatrix, b, snf: SnfDecomposition | None = None):
+def solve_diophantine(A: IntMatrix, b):
     """One integer solution alpha of alpha^T A = b^T, or None.
 
     Substituting the Smith form turns the system into beta^T D = b^T T,
     which is solved by divisibility checks on the diagonal; back through
     alpha^T = beta^T S.  Free coordinates are set to zero, so the particular
-    solution is deterministic.  Pass a precomputed decomposition to amortize
-    repeated solves against one matrix.
+    solution is deterministic.
     """
     b = list(b)
     if len(b) != A.cols:
         raise ValueError(f"right-hand side has length {len(b)}, expected {A.cols}")
-    if snf is None:
-        snf = smith_normal_form(A)
+    snf = smith_normal_form(A)
     r, c = A.rows, A.cols
     d = snf.D.entries
     t_ = snf.T.entries

@@ -27,7 +27,6 @@ import numpy as np
 from .intlinalg import IntMatrix, adjugate, det, nonsingular_minor, nullspace_basis
 from .units import (
     BaseUnitSystem,
-    Quantity,
     UnitMismatch,
     UnitVector,
     format_product,
@@ -526,13 +525,6 @@ def decoder_solutions(
     mags = np.abs(pts)
     keys = tuple(pts.T[::-1]) + (mags.sum(axis=1), (mags * spec.weights()).max(axis=1))
     return MonomialSet(pts[np.lexsort(keys)])
-
-
-def apply_decoder(
-    decoder: Monomial, x: Sequence[float], eta: float, spec: FeatureSpec
-) -> Quantity:
-    """Restore units: eta_hat * decoder(x) as a Quantity with the decoder's units."""
-    return Quantity(eta * evaluate_monomial(decoder, x), monomial_units(decoder, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -578,12 +578,14 @@ def equivariance_residuals(
     Unif(0.1, 10); 0 up to float roundoff for any decoder-backed model.
 
     Group copy 0 is the rows themselves and copy c the rows rescaled by the
-    c-th element.  The copies are predicted for every model in stacks of
-    consecutive copies, one design matrix and one matrix of decoder columns
-    per call of _predict_blocks, each stack holding at most
-    pi._BLOCK_ENTRIES design entries plus one prediction column per model
-    (one copy where a copy alone holds more); a stack's copies are built
-    when it is, and its deviations folded into the running maxima.  Every
+    c-th element, a units.GroupElement whose one scale_factor call gives the
+    multiplier of every feature column and of the label.  The copies are
+    predicted for every model in stacks of consecutive copies, one design
+    matrix and one matrix of decoder columns per call of _predict_blocks,
+    each stack holding at most pi._BLOCK_ENTRIES design entries plus one
+    prediction column per model (one copy where a copy alone holds more); a
+    stack's copies are built when it is, and its deviations folded into the
+    running maxima.  Every
     copy's predictions equal predict_rows on it bit for bit, so each
     residual is that of one predict_rows call per copy at any budget.
     Where a copy fails to evaluate, the first failing copy raises what
@@ -592,8 +594,8 @@ def equivariance_residuals(
     rows = np.asarray(rows, dtype=float)
     first = models[0]
     rng = np.random.default_rng(seed)
-    U = np.array([f.units.exps for f in first.spec.features], dtype=float)
-    v = np.array(first.label_units.exps, dtype=float)
+    # one unit row per feature, then the label's
+    U = np.array([f.units.exps for f in first.spec.features] + [first.label_units.exps])
     width = len(first.monomials) + len(models)
     per_stack = max(1, pi._BLOCK_ENTRIES // max(1, rows.shape[0] * width))
     worst = np.zeros(len(models))
@@ -601,10 +603,10 @@ def equivariance_residuals(
         copies = [rows] if start == 0 else []
         label_scales = []
         for _ in range(max(start, 1), min(start + per_stack, n_group + 1)):
-            g = rng.uniform(0.1, 10.0, size=first.spec.k)
-            feat_scale = np.prod(g[None, :] ** (-U), axis=1)
-            label_scales.append(float(np.prod(g ** (-v))))
-            copies.append(rows * feat_scale[None, :])
+            g = GroupElement(tuple(rng.uniform(0.1, 10.0, size=first.spec.k)))
+            scales = scale_factor(g, U)
+            label_scales.append(scales[-1])
+            copies.append(rows * scales[None, :-1])
         try:
             pred = _predict_blocks(models, np.concatenate(copies), len(copies))
         except (PoleAtZero, NonFinite):
@@ -630,13 +632,6 @@ def equivariance_residual(model: RegressionModel, rows, n_group: int = 100,
                           seed: int = 0) -> float:
     """equivariance_residuals for one model."""
     return equivariance_residuals([model], rows, n_group, seed)[0]
-
-
-def rescale_rows(g: GroupElement, rows, spec: FeatureSpec) -> np.ndarray:
-    """Apply a group element to every feature column of an (N, d) array."""
-    rows = np.asarray(rows, dtype=float)
-    factors = np.array([scale_factor(g, f.units) for f in spec.features])
-    return rows * factors[None, :]
 
 
 # ---------------------------------------------------------------------------

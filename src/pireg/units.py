@@ -16,6 +16,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 # Exponents live comfortably in single digits; the bound exists to fail loudly
 # if some degenerate input walks the lattice off to absurd powers.
 MAX_EXPONENT = 2**31 - 1
@@ -209,42 +211,34 @@ def format_unit(units: UnitVector, system: BaseUnitSystem) -> str:
 
 @dataclass(frozen=True)
 class Quantity:
-    """A float value tagged with an exact unit vector."""
+    """A float value tagged with an exact unit vector.
+
+    + needs equal unit vectors (UnitMismatch otherwise); * adds them, or
+    scales the value by a plain number; ** takes an integer power."""
 
     value: float
     units: UnitVector
 
     def __add__(self, other):
-        return q_add(self, other)
+        if not isinstance(other, Quantity):
+            return NotImplemented
+        if self.units != other.units:
+            raise UnitMismatch(self.units, other.units)
+        return Quantity(self.value + other.value, self.units)
 
     def __mul__(self, other):
         if isinstance(other, Quantity):
-            return q_mul(self, other)
+            return Quantity(self.value * other.value, self.units + other.units)
         return Quantity(self.value * other, self.units)
 
     __rmul__ = __mul__
 
     def __pow__(self, gamma: int):
-        return q_pow(self, gamma)
-
-
-def q_add(a: Quantity, b: Quantity) -> Quantity:
-    """Add two quantities; their unit vectors must agree exactly."""
-    if a.units != b.units:
-        raise UnitMismatch(a.units, b.units)
-    return Quantity(a.value + b.value, a.units)
-
-
-def q_mul(a: Quantity, b: Quantity) -> Quantity:
-    return Quantity(a.value * b.value, a.units + b.units)
-
-
-def q_pow(q: Quantity, gamma: int) -> Quantity:
-    if not isinstance(gamma, int) or isinstance(gamma, bool):
-        raise TypeError("quantity powers must be integers")
-    if gamma < 0 and q.value == 0.0:
-        raise ZeroDivisionError("zero raised to a negative power")
-    return Quantity(q.value**gamma, q.units.scaled(gamma))
+        if not isinstance(gamma, int) or isinstance(gamma, bool):
+            raise TypeError("quantity powers must be integers")
+        if gamma < 0 and self.value == 0.0:
+            raise ZeroDivisionError("zero raised to a negative power")
+        return Quantity(self.value**gamma, self.units.scaled(gamma))
 
 
 @dataclass(frozen=True)
@@ -258,26 +252,24 @@ class GroupElement:
             if not (f > 0 and math.isfinite(f)):
                 raise ValueError(f"group factors must be positive and finite, got {f!r}")
 
-    @classmethod
-    def identity(cls, k: int) -> "GroupElement":
-        return cls((1.0,) * k)
 
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        if len(self.factors) != len(other.factors):
-            raise UnitMismatch(self.factors, other.factors, "group elements")
-        return GroupElement(tuple(a * b for a, b in zip(self.factors, other.factors)))
-
-
-def scale_factor(g: GroupElement, units: UnitVector) -> float:
+def scale_factor(g: GroupElement, units):
     """prod_j g_j ** -u_j, the multiplier the group action applies to a value
-    with the given units."""
-    if len(g.factors) != len(units):
-        raise UnitMismatch(g.factors, units, "group element and unit vector")
-    out = 1.0
-    for gj, uj in zip(g.factors, units.exps):
-        if uj:
-            out *= gj ** (-uj)
-    return out
+    with the given units: a float for a UnitVector, and for an (n, k)
+    integer array of unit rows the (n,) array of each row's multiplier.
+
+    This is the one place the action's factor is computed, as
+    np.prod(factors ** -U, axis=-1).  OverflowError where a multiplier
+    overflows."""
+    U = np.asarray(units.exps if isinstance(units, UnitVector) else units)
+    if U.shape[-1:] != (len(g.factors),):
+        raise UnitMismatch(g.factors, U.shape, "group element and unit exponents")
+    with np.errstate(over="raise"):
+        try:
+            out = np.prod(np.asarray(g.factors, dtype=float) ** -U, axis=-1)
+        except FloatingPointError as err:
+            raise OverflowError(f"{err}: factors {g.factors}, units {U.tolist()}") from None
+    return float(out) if U.ndim == 1 else out
 
 
 def rescale(g: GroupElement, x: Quantity) -> Quantity:

@@ -16,7 +16,6 @@ from pireg.pi import (
     MonomialSet,
     NonFinite,
     PoleAtZero,
-    apply_decoder,
     as_monomial_set,
     build_design_matrix,
     decoder_solutions,
@@ -435,15 +434,6 @@ def test_decoder_solutions_all_have_target_units(pend_spec):
     target = parse_unit("kg m^2 s^-2", MECH)
     for s in decoder_solutions(pend_spec, target, 2):
         assert monomial_units(s, pend_spec) == target
-
-
-def test_apply_decoder():
-    dec = parse_monomial("k_s L^2", MKLP)
-    out = apply_decoder(dec, [1.0, 3.0, 2.0, 1.0], 0.5, MKLP)
-    assert out.value == 6.0
-    assert out.units == parse_unit("J", MECH)
-    zero = apply_decoder(dec, [1.0, 3.0, 2.0, 1.0], 0.0, MKLP)
-    assert zero.value == 0.0 and zero.units == out.units
 
 
 def test_decoder_equivariance(pend_spec):

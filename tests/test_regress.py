@@ -43,7 +43,6 @@ from pireg.regress import (
     predict,
     predict_rows,
     prediction_errors,
-    rescale_rows,
     save_dataset_csv,
     save_model,
     soft_threshold,
@@ -631,11 +630,12 @@ def test_truth_model_matches_hamiltonian():
 def test_predict_is_equivariant():
     data = small_dataset(16, seed=11)
     model = truth_model(data.spec)
+    U = np.array([f.units.exps for f in data.spec.features])
     rng = np.random.default_rng(12)
     for _ in range(100):
         g = GroupElement(tuple(rng.uniform(0.1, 10.0, size=3)))
         x = data.rows[int(rng.integers(data.n))]
-        gx = rescale_rows(g, x[None, :], data.spec)[0]
+        gx = x * scale_factor(g, U)
         lhs = predict(model, gx).value
         rhs = scale_factor(g, JOULE) * predict(model, x).value
         assert math.isclose(lhs, rhs, rel_tol=1e-10)
@@ -736,6 +736,30 @@ def test_equivariance_residual_matches_per_group_oracle(springy_desk, monkeypatc
     assert equivariance_residuals(shared, points, seed=5) == oracle
     with pytest.raises(ValueError, match="share one monomial set"):
         equivariance_residuals([ols, lasso], points)
+
+
+def test_power_of_two_unit_changes_scale_predictions_exactly(springy_desk):
+    # scaling by 2^k is exact in binary floating point, so on g.x every
+    # dimensionless design column is bit-identical and the decoder column is
+    # scaled by exactly 2^(-v.k): a decoder-backed model's predictions scale
+    # bit for bit.  A fit without a decoder predicts the same numbers on g.x
+    # as on x, so it misses the label's factor wherever v.k != 0
+    data, features, decoder, ols, points = springy_desk
+    train = Dataset(data.spec, data.rows[:2048], data.label_values[:2048], data.label_units)
+    direct = fit_monomial_model(train, features, None)
+    U = np.array([f.units.exps for f in data.spec.features])
+    rng = np.random.default_rng(0)
+    unequal, unit_free = [0, 0], 0
+    for _ in range(20):
+        k = rng.integers(-20, 21, size=3)
+        g = GroupElement(tuple(np.ldexp(1.0, k)))
+        gx = points * scale_factor(g, U)
+        for i, model in enumerate([ols, direct]):
+            expected = scale_factor(g, JOULE) * predict_rows(model, points)
+            unequal[i] += int(np.sum(predict_rows(model, gx) != expected))
+        unit_free += int(k @ JOULE.exps == 0)
+    assert unit_free == 0
+    assert unequal == [0, 20 * len(points)]
 
 
 def test_equivariance_residual_memory_is_bounded_by_the_block_budget(springy_desk):
