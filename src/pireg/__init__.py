@@ -36,7 +36,6 @@ from .pi import (
     degree,
     dimensionless_basis,
     enumerate_monomials,
-    evaluate_monomial,
     lattice_points,
     reynolds_project,
     sample_dimensional_monomials,

@@ -20,7 +20,7 @@ from . import pi, regress, sims
 from .intlinalg import solve_diophantine
 from .pi import FeatureSpec, Monomial, MonomialSet, SCHEMA_VERSION
 from .regress import DataError
-from .units import UnitError, parse_unit
+from .units import GroupElement, UnitError, parse_unit
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -214,14 +214,21 @@ def _springy_sizes(scale: str):
 # degradation it causes is what makes the dimensionless restriction earn its keep.
 CONTAMINATION_SEED = 19
 N_CONTAMINATION = 500
+# The second unit system the control is scored in: kg -> 2^-10 kg, m -> 2^-7 m.
+# Powers of two scale every value exactly, so a dimensionless model's error
+# there equals its in-units error bit for bit, and only dimensional features
+# can move it.
+CONTROL_UNIT_CHANGE = GroupElement((2.0**-10, 2.0**-7, 1.0))
 
 
-def _control_mse(train, test, polluted, decoder) -> float:
-    """Test dimensionless MSE of the OLS fit over the polluted feature set."""
+def _control_mse(train, test, polluted, decoder) -> tuple[float, float]:
+    """Test dimensionless MSE of the OLS fit over the polluted feature set,
+    in the data's units and with the test split in CONTROL_UNIT_CHANGE's."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", regress.RankDeficientWarning)
         model = regress.fit_monomial_model(train, polluted, decoder, method="ols")
-    return regress.dimensionless_mse(model, test, decoder)
+    return (regress.dimensionless_mse(model, test, decoder),
+            regress.dimensionless_mse(model, test.rescaled(CONTROL_UNIT_CHANGE), decoder))
 
 
 def run_springy(seed: int, scale: str, out_dir, lam: float = 1e-2) -> dict:
@@ -230,9 +237,10 @@ def run_springy(seed: int, scale: str, out_dir, lam: float = 1e-2) -> dict:
     fits over a feature set polluted with dimensional monomials.
 
     The polluted OLS fit, the largest by far, runs in a forked worker from
-    sims._worker_pool while this process does the rest, and its test error
-    is collected last; where the pool falls back to this process, the
-    results are the same."""
+    sims._worker_pool while this process does the rest, and its test
+    errors, in the data's units and in CONTROL_UNIT_CHANGE's, are collected
+    last; where the pool falls back to this process, the results are the
+    same."""
     n_train, n_test, n_lasso = _springy_sizes(scale)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -285,13 +293,17 @@ def run_springy(seed: int, scale: str, out_dir, lam: float = 1e-2) -> dict:
         regress.save_dataset_csv(test, out_dir / "test.csv")
         regress.save_model(out_dir / "model_ols.json", ols)
         regress.save_model(out_dir / "model_lasso.json", lasso)
-        ols_bad_mse = control.result()
+        ols_bad_mse, ols_bad_moved_mse = control.result()
     finally:
         pool.shutdown(cancel_futures=True)
+    # the clean model's error in the moved units is ols_mse bit for bit
     results["dimensional_control"] = {
         "n_features": len(polluted),
         "ols_test_dimensionless_mse": ols_bad_mse,
         "ols_degradation": ols_bad_mse / ols_mse,
+        "unit_change": list(CONTROL_UNIT_CHANGE.factors),
+        "ols_moved_test_dimensionless_mse": ols_bad_moved_mse,
+        "ols_moved_degradation": ols_bad_moved_mse / ols_mse,
         "lasso_test_dimensionless_mse": lasso_bad_mse,
         "lasso_support_size": int(sum(1 for w in lasso_bad.weights if w != 0.0)),
     }

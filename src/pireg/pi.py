@@ -365,15 +365,6 @@ def build_design_matrix(rows, monomials: MonomialSet | Sequence[Monomial]) -> np
     return X
 
 
-def evaluate_monomial(m: Monomial, x: Sequence[float]) -> float:
-    """coeff * prod x_i^e_i at one point: the one-row build_design_matrix, so
-    it equals the matching design-matrix entry bit for bit.  ValueError on a
-    length mismatch, PoleAtZero on 0^negative, NonFinite on overflow."""
-    if len(x) != len(m.exps):
-        raise ValueError(f"value vector of length {len(x)} vs {len(m.exps)} exponents")
-    return float(build_design_matrix(np.asarray(x, dtype=float)[None, :], [m])[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # lattice constructions
 
@@ -483,24 +474,33 @@ def sample_dimensional_monomials(
     """Draw n distinct monomials with nonzero units, uniformly from the same
     degree box enumerate_monomials sweeps.  Used as contamination controls
     for the dimensionless regressions.
+
+    Draws are exponent rows taken in order, each kept unless it is
+    dimensionless or repeats a kept row; ValueError after 1000 n draws
+    short of n.  A block of rows comes from one rng.integers call, which
+    gives the values of one scalar call per exponent in row order.
     """
     ranges = _exponent_ranges(spec, max_degree)
+    low = np.array([r.start for r in ranges], dtype=np.int64)
+    high = np.array([r.stop for r in ranges], dtype=np.int64)
     rng = np.random.default_rng(seed)
     U = np.array([f.units.exps for f in spec.features], dtype=np.int64)
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
     attempts = 0
     while len(out) < n:
-        attempts += 1
-        if attempts > 1000 * n:
+        if attempts >= 1000 * n:
             raise ValueError(
                 f"could not find {n} distinct dimensional monomials at degree {max_degree}"
             )
-        exps = tuple(int(rng.integers(r.start, r.stop)) for r in ranges)
-        if exps in seen or not np.any(np.array(exps, dtype=np.int64) @ U):
-            continue
-        seen.add(exps)
-        out.append(exps)
+        block = rng.integers(low, high, size=(min(n - len(out), 1000 * n - attempts), spec.d))
+        attempts += len(block)
+        for exps, dimensional in zip(map(tuple, block.tolist()), (block @ U).any(axis=1)):
+            if dimensional and exps not in seen:
+                seen.add(exps)
+                out.append(exps)
+                if len(out) == n:
+                    break
     return MonomialSet(np.array(out, dtype=np.int64).reshape(n, spec.d))
 
 

@@ -72,6 +72,17 @@ def _openblas_threads():
     return None
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    trim.restype, trim.argtypes = ctypes.c_int, [ctypes.c_size_t]
+    return trim
+
+
 def serial_blas_available() -> bool:
     """Whether _serial_blas pins BLAS to one thread; where it cannot, a
     fitted model's metadata records "blas_serial": false."""
@@ -145,10 +156,20 @@ class Dataset:
     def n(self) -> int:
         return self.rows.shape[0]
 
+    def rescaled(self, g: GroupElement) -> Dataset:
+        """The same data in the unit system g moves to: each feature column
+        and the labels times their units' scale_factor."""
+        U = np.array([f.units.exps for f in self.spec.features] + [self.label_units.exps])
+        scales = scale_factor(g, U)
+        return Dataset(self.spec, self.rows * scales[:-1], self.label_values * scales[-1],
+                       self.label_units)
+
 
 def save_dataset_csv(data: Dataset, path) -> None:
     """Two-line header: feature names + "label", then one unit expression per
-    column; float values below."""
+    column; float values below, each its shortest round-tripping repr.  A
+    repr holds no comma, quote or line break, so a row is its values joined
+    by commas, the line csv.writer would write."""
     sys_ = data.spec.system
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -157,8 +178,8 @@ def save_dataset_csv(data: Dataset, path) -> None:
             [format_unit(f.units, sys_) for f in data.spec.features]
             + [format_unit(data.label_units, sys_)]
         )
-        for row, y in zip(data.rows, data.label_values):
-            w.writerow([repr(float(v)) for v in row] + [repr(float(y))])
+        table = np.column_stack([data.rows, data.label_values]).tolist()
+        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in table))
 
 
 def load_dataset_csv(path, spec: FeatureSpec, label_units: UnitVector | None = None) -> Dataset:
@@ -217,16 +238,74 @@ class OlsFit:
     rank_deficient: bool
 
 
+def _triu_inverse(R: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular upper-triangular matrix by the block
+    recursion inv([[A, B], [0, C]]) = [[inv(A), -inv(A) B inv(C)], [0, inv(C)]],
+    matrix products in place of a general inverse's LU of all p columns."""
+    p = len(R)
+    if p <= 64:
+        return np.linalg.inv(R)
+    h = p // 2
+    A, C = _triu_inverse(R[:h, :h]), _triu_inverse(R[h:, h:])
+    out = np.zeros_like(R)
+    out[:h, :h], out[h:, h:] = A, C
+    out[:h, h:] = -(A @ R[:h, h:]) @ C
+    return out
+
+
+def _qr_solve(X: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray | None:
+    """The least-squares solution z of (X / norms) z = y by Householder QR,
+    or None unless the triangle certifies full column rank.
+
+    The rows of [X / norms | y] are folded block by block into a running
+    (p + 1) x (p + 1) triangle R, each block one QR of R stacked on it
+    (TSQR) in one reused buffer, so no equilibrated copy of X is ever
+    whole.  A block holds max(2 (p + 1), 2^17 // (p + 1)) rows, a function
+    of the shape alone, so R does not depend on pi._BLOCK_ENTRIES.  With
+    R11 = R[:p, :p], 1 / ||inv(R11)||_F <= sigma_min and ||R11||_F >=
+    sigma_max, so 1 / ||inv(R11)||_F > eps max(n, p) ||R11||_F proves the
+    rank that lstsq (gelsd, cutoff eps max(n, p) sigma_max) would report is
+    p; then z solves R11 z = R[:p, p] by back substitution."""
+    n, p = X.shape
+    step = max(2 * (p + 1), 2**17 // (p + 1))
+    # the running triangle's rows, then the next block's
+    stack = np.empty((p + 1 + step, p + 1))
+    top = 0
+    for start in range(0, n, step):
+        block = stack[top:top + min(step, n - start)]
+        np.divide(X[start:start + step], norms, out=block[:, :p])
+        block[:, p] = y[start:start + step]
+        R = np.linalg.qr(stack[:top + len(block)], mode="r")
+        top = len(R)
+        stack[:top] = R
+    R11, r = R[:p, :p], R[:p, p]
+    if not np.diag(R11).all():
+        return None
+    with np.errstate(all="ignore"):
+        inverse_norm = np.linalg.norm(_triu_inverse(R11))
+        if not 1.0 / inverse_norm > np.finfo(float).eps * max(n, p) * np.linalg.norm(R11):
+            return None
+    z = np.empty(p)
+    for i in range(p - 1, -1, -1):
+        z[i] = (r[i] - R11[i, i + 1:] @ z[i + 1:]) / R11[i, i]
+    return z
+
+
 @_serial_blas()
 def fit_ols(X: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> OlsFit:
-    """Least squares via orthogonal factorization (SVD), never normal equations.
+    """Least squares via orthogonal factorization, never normal equations.
 
     ridge > 0 solves the augmented stacked system, which is full rank by
-    construction.  At ridge 0 the columns are equilibrated to unit norm
-    first (monomial columns span many orders of magnitude); if that solve
-    reports rank < p, the unequilibrated problem is re-solved so the
-    returned solution is minimum-norm in the original weight scale, and a
-    RankDeficientWarning reports the effective rank.
+    construction, with lstsq (SVD).  At ridge 0 the columns are
+    equilibrated to unit norm first (monomial columns span many orders of
+    magnitude).  With more rows than columns and finite values, a streamed
+    Householder QR of the equilibrated [X | y] (_qr_solve) solves it when
+    its triangle certifies full column rank.  Otherwise (n <= p, a
+    non-finite value or column norm, or no certificate) lstsq (SVD, gelsd)
+    solves the equilibrated problem; if that reports rank < p, the
+    unequilibrated problem is re-solved so the returned solution is
+    minimum-norm in the original weight scale, and a RankDeficientWarning
+    reports the effective rank.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -242,6 +321,17 @@ def fit_ols(X: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> OlsFit:
         return OlsFit(w, int(rank_), False)
     norms = np.sqrt((X * X).sum(axis=0))
     norms[norms == 0.0] = 1.0
+    if n > p > 0 and np.isfinite(norms).all() and np.isfinite(y).all():
+        z = _qr_solve(X, y, norms)
+        # once a larger freed block (such as X * X above) has raised glibc's
+        # mmap threshold, the QR's megabyte buffers come from the heap, which
+        # keeps them after they are freed: 9 MB on the 2048 x 286 springy
+        # fit; hand those pages back
+        trim = _malloc_trim()
+        if trim is not None:
+            trim(0)
+        if z is not None:
+            return OlsFit(z / norms, p, False)
     z, _, rank_, _ = np.linalg.lstsq(X / norms, y, rcond=None)
     if rank_ < p:
         w, _, rank_, _ = np.linalg.lstsq(X, y, rcond=None)

@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from pireg import pi, regress, sims
+from pireg import cli, pi, regress, sims
 from pireg.intlinalg import (
     IntMatrix,
     det,
@@ -185,28 +185,70 @@ def test_criterion_03_hamiltonian_recovery():
     assert elapsed < 60.0
 
 
-def test_criterion_04_contamination_degradation():
-    runs = pendulum_runs()
-    t0 = time.perf_counter()
-    polluted = runs["features"] + pi.sample_dimensional_monomials(
-        runs["spec"], 2, 500, seed=CONTAMINATION_SEED
-    )
-    import warnings
+def moved_control_bound(test, decoder):
+    """The floor criterion 04 sets under the control's error in the moved
+    units: the variance of the dimensionless test label, the error of
+    predicting its mean.  Dimensionless, so the same in both unit systems."""
+    eta = test.label_values / regress.build_design_matrix(test.rows, [decoder])[:, 0]
+    return float(np.var(eta))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", regress.RankDeficientWarning)
-        bad = regress.fit_monomial_model(
-            runs["train"], polluted, runs["decoder"], method="ols"
-        )
-    clean_dmse = regress.dimensionless_mse(runs["ols"], runs["test"], runs["decoder"])
-    bad_dmse = regress.dimensionless_mse(bad, runs["test"], runs["decoder"])
-    ratio = bad_dmse / clean_dmse
+
+def polluted_features(spec, features):
+    return features + pi.sample_dimensional_monomials(spec, 2, 500, seed=CONTAMINATION_SEED)
+
+
+def test_criterion_04_contamination_degradation():
+    # both test errors are at roundoff in the training units, where their
+    # ratio measures the solver; so the control is scored on the test split
+    # moved into a second unit system by a power-of-two element, where the
+    # clean model's error is unchanged bit for bit and only the 500
+    # dimensional monomials can move the control's
+    runs = pendulum_runs()
+    spec, train, test, decoder = runs["spec"], runs["train"], runs["test"], runs["decoder"]
+    t0 = time.perf_counter()
+    polluted = polluted_features(spec, runs["features"])
+    bad_dmse, bad_moved = cli._control_mse(train, test, polluted, decoder)
+    clean_dmse = regress.dimensionless_mse(runs["ols"], test, decoder)
+    clean_moved = regress.dimensionless_mse(runs["ols"], test.rescaled(cli.CONTROL_UNIT_CHANGE),
+                                            decoder)
+    bound = moved_control_bound(test, decoder)
+    # the negative control: 786 dimensionless columns, the 286 of degree 2
+    # and 500 more of degree 3, stay exact in the moved units
+    degree2 = set(runs["features"])
+    degree3 = [m for m in pi.enumerate_monomials(spec, 3, dimensionless_only=True)
+               if m not in degree2]
+    dimensionless = runs["features"] + pi.as_monomial_set(degree3[:500], spec.d)
+    _, dimensionless_moved = cli._control_mse(train, test, dimensionless, decoder)
     elapsed = time.perf_counter() - t0
-    print(f"criterion 04: clean={clean_dmse:.3e} contaminated={bad_dmse:.3e} "
-          f"ratio={ratio:.1f} ({elapsed:.1f}s)")
-    assert len(polluted) == 786
-    assert ratio >= 10.0
+    print(f"criterion 04: in units clean={clean_dmse:.3e} contaminated={bad_dmse:.3e} "
+          f"ratio={bad_dmse / clean_dmse:.1f}; moved clean={clean_moved:.3e} "
+          f"contaminated={bad_moved:.3e} floor={bound:.3e}; "
+          f"786 dimensionless moved={dimensionless_moved:.3e} ({elapsed:.1f}s)")
+    assert len(polluted) == len(dimensionless) == 786
+    assert clean_moved == clean_dmse
+    assert bad_moved >= bound
+    assert not dimensionless_moved >= bound
     assert elapsed < 60.0
+
+
+@pytest.mark.parametrize("n_train,n_test", [(8192, 1024), (2048, 512)])
+def test_criterion_04_holds_at_seeds_0_to_5(n_train, n_test):
+    spec = sims.pendulum_spec()
+    features = pi.enumerate_monomials(spec, 2, dimensionless_only=True)
+    polluted = polluted_features(spec, features)
+    decoder = pi.parse_monomial("k_s L^2", spec)
+    for seed in range(6):
+        data = sims.sample_pendulum_dataset(n_train + n_test, seed)
+        train = regress.Dataset(spec, data.rows[:n_train], data.label_values[:n_train],
+                                data.label_units)
+        test = regress.Dataset(spec, data.rows[n_train:], data.label_values[n_train:],
+                               data.label_units)
+        _, bad_moved = cli._control_mse(train, test, polluted, decoder)
+        clean = regress.fit_monomial_model(train, features, decoder)
+        moved = test.rescaled(cli.CONTROL_UNIT_CHANGE)
+        assert (regress.dimensionless_mse(clean, moved, decoder)
+                == regress.dimensionless_mse(clean, test, decoder)), seed
+        assert bad_moved >= moved_control_bound(test, decoder), seed
 
 
 def test_criterion_05_equivariance_suite():

@@ -558,6 +558,12 @@ def test_experiment_springy_desk(tmp_path, capsys):
     assert results["lasso"]["converged"] is True
     control = results["dimensional_control"]
     assert control["n_features"] == 286 + 500
+    # in kg -> 2^-10 kg, m -> 2^-7 m the clean model's error is unchanged
+    # and the control's far above the dimensionless label's variance (~0.15)
+    assert control["unit_change"] == [2.0**-10, 2.0**-7, 1.0]
+    assert control["ols_moved_test_dimensionless_mse"] > 1.0
+    assert control["ols_moved_degradation"] == (control["ols_moved_test_dimensionless_mse"]
+                                                / ols["test_dimensionless_mse"])
     for name in ("train.csv", "test.csv", "model_ols.json", "model_lasso.json"):
         assert (out / name).exists()
 

@@ -22,7 +22,6 @@ from pireg.pi import (
     degree,
     dimensionless_basis,
     enumerate_monomials,
-    evaluate_monomial,
     format_monomial,
     lattice_points,
     load_monomials,
@@ -36,7 +35,7 @@ from pireg.pi import (
     total_degree,
 )
 from pireg.intlinalg import IntMatrix, rank, solve_diophantine
-from pireg.sims import double_pendulum_spec
+from pireg.sims import double_pendulum_spec, rietkerk_spec
 from pireg.units import (
     BaseUnitSystem,
     GroupElement,
@@ -348,19 +347,19 @@ def test_degree_conventions(pend_spec):
 
 
 def test_evaluate_constant_is_one():
-    assert evaluate_monomial(Monomial((0, 0, 0, 0)), [5.0, 6.0, 7.0, 8.0]) == 1.0
+    assert build_design_matrix([[5.0, 6.0, 7.0, 8.0]], [Monomial((0, 0, 0, 0))])[0, 0] == 1.0
 
 
 def test_evaluate_worked_example():
     m = parse_monomial("m k_s L^2 |p|^-2", MKLP)
-    assert evaluate_monomial(m, [2.0, 3.0, 2.0, 4.0]) == 1.5
+    assert build_design_matrix([[2.0, 3.0, 2.0, 4.0]], [m])[0, 0] == 1.5
     assert monomial_units(m, MKLP).is_zero()
 
 
 def test_evaluate_pole_at_zero():
     m = parse_monomial("|p|^-1", MKLP)
     with pytest.raises(PoleAtZero):
-        evaluate_monomial(m, [1.0, 1.0, 1.0, 0.0])
+        build_design_matrix([[1.0, 1.0, 1.0, 0.0]], [m])
     with pytest.raises(PoleAtZero):
         build_design_matrix(np.array([[1.0, 1, 1, 2], [1.0, 1, 1, 0]]), [m])
 
@@ -368,7 +367,7 @@ def test_evaluate_pole_at_zero():
 def test_evaluate_overflow_is_loud():
     m = Monomial((400, 0, 0, 0))
     with pytest.raises(NonFinite):
-        evaluate_monomial(m, [10.0, 1.0, 1.0, 1.0])
+        build_design_matrix([[10.0, 1.0, 1.0, 1.0]], [m])
 
 
 def test_row_and_scalar_evaluation_agree_exactly(pend_spec):
@@ -378,7 +377,7 @@ def test_row_and_scalar_evaluation_agree_exactly(pend_spec):
     X = build_design_matrix(rows, monos)
     for j, m in enumerate(monos):
         for i in range(rows.shape[0]):
-            assert X[i, j] == evaluate_monomial(m, rows[i])
+            assert X[i, j] == build_design_matrix(rows[i:i + 1], [m])[0, 0]
 
 
 def test_dimensionless_invariance_under_rescaling(pend_spec):
@@ -391,8 +390,8 @@ def test_dimensionless_invariance_under_rescaling(pend_spec):
             v * scale_factor(g, f.units) for v, f in zip(x, pend_spec.features)
         ]
         for m in monos[:: 29]:
-            a = evaluate_monomial(m, x)
-            b = evaluate_monomial(m, gx)
+            a = build_design_matrix([x], [m])[0, 0]
+            b = build_design_matrix([gx], [m])[0, 0]
             assert math.isclose(a, b, rel_tol=1e-10)
 
 
@@ -444,8 +443,8 @@ def test_decoder_equivariance(pend_spec):
     for _ in range(20):
         g = GroupElement(tuple(rng.uniform(0.1, 10.0, size=pend_spec.k)))
         gx = [val * scale_factor(g, f.units) for val, f in zip(x, pend_spec.features)]
-        lhs = evaluate_monomial(dec, gx)
-        rhs = scale_factor(g, v) * evaluate_monomial(dec, x)
+        lhs = build_design_matrix([gx], [dec])[0, 0]
+        rhs = scale_factor(g, v) * build_design_matrix([x], [dec])[0, 0]
         assert math.isclose(lhs, rhs, rel_tol=1e-10)
 
 
@@ -559,6 +558,48 @@ def test_sample_dimensional_monomials(pend_spec):
         assert degree(m, pend_spec) <= 2
     again = sample_dimensional_monomials(pend_spec, 2, 200, seed=4)
     assert again == out
+
+
+def scalar_sample_oracle(spec, max_degree, n, seed):
+    """The sampler sample_dimensional_monomials replaced, frozen: one scalar
+    rng.integers call per exponent, each row kept unless it is
+    dimensionless or a repeat, ValueError after 1000 n draws short of n."""
+    ranges = [range(-(max_degree // f.degree_weight) if f.allow_negative_exponent else 0,
+                    max_degree // f.degree_weight + 1) for f in spec.features]
+    rng = np.random.default_rng(seed)
+    U = np.array([f.units.exps for f in spec.features], dtype=np.int64)
+    seen, out, attempts = set(), [], 0
+    while len(out) < n:
+        attempts += 1
+        if attempts > 1000 * n:
+            raise ValueError(
+                f"could not find {n} distinct dimensional monomials at degree {max_degree}"
+            )
+        exps = tuple(int(rng.integers(r.start, r.stop)) for r in ranges)
+        if exps in seen or not np.any(np.array(exps, dtype=np.int64) @ U):
+            continue
+        seen.add(exps)
+        out.append(exps)
+    return MonomialSet(np.array(out, dtype=np.int64).reshape(n, spec.d))
+
+
+@pytest.mark.parametrize("seed", [0, 4, 19, 123])
+def test_sample_dimensional_monomials_matches_the_scalar_loop(pend_spec, seed):
+    cases = [(pend_spec, 2, 500), (rietkerk_spec(), 1, 300), (double_pendulum_spec(), 1, 400)]
+    for spec, max_degree, n in cases:
+        assert sample_dimensional_monomials(spec, max_degree, n, seed) == scalar_sample_oracle(
+            spec, max_degree, n, seed)
+
+
+def test_sample_dimensional_monomials_caps_its_draws():
+    # one length feature at degree 1: two dimensional monomials exist, so a
+    # third is never found and both samplers give up after 3000 draws
+    length = mech_spec(("L", "m", 1, True))
+    assert sample_dimensional_monomials(length, 1, 2, seed=0) == scalar_sample_oracle(
+        length, 1, 2, 0)
+    for sampler in (sample_dimensional_monomials, scalar_sample_oracle):
+        with pytest.raises(ValueError, match="could not find 3 distinct"):
+            sampler(length, 1, 3, 0)
 
 
 def test_lattice_membership_of_enumerated_dimensionless(pend_spec):

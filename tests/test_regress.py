@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -61,6 +62,7 @@ from pireg.units import (
     Quantity,
     UnitMismatch,
     UnitVector,
+    format_unit,
     parse_unit,
     scale_factor,
     si_system,
@@ -330,6 +332,153 @@ def test_ols_rejects_bad_shapes():
         fit_ols(np.eye(3), np.ones(3), ridge=-1.0)
 
 
+def equilibrated(X):
+    norms = np.sqrt((X * X).sum(axis=0))
+    norms[norms == 0.0] = 1.0
+    return norms
+
+
+def gelsd_oracle(X, y):
+    """fit_ols at ridge 0 before its QR path, frozen: lstsq (gelsd) of the
+    equilibrated design, then the unequilibrated minimum-norm re-solve and
+    the warning on rank deficiency."""
+    p = X.shape[1]
+    norms = equilibrated(X)
+    z, _, rank_, _ = np.linalg.lstsq(X / norms, y, rcond=None)
+    if rank_ < p:
+        w, _, rank_, _ = np.linalg.lstsq(X, y, rcond=None)
+        warnings.warn(f"design matrix is rank deficient: rank {int(rank_)} < {p} columns; "
+                      "returning the minimum-norm solution", RankDeficientWarning)
+        return regress.OlsFit(w, int(rank_), True)
+    return regress.OlsFit(z / norms, int(rank_), False)
+
+
+def outcome(fit, X, y):
+    """(weight bytes, rank, rank_deficient, warning messages) of fit(X, y),
+    or the exception it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            r = fit(X, y)
+        except Exception as err:
+            return type(err), str(err)
+    return r.weights.tobytes(), r.rank, r.rank_deficient, [str(w.message) for w in caught]
+
+
+def check_qr_against_lstsq(n, p, seed, noisy):
+    """fit_ols on a random (n, p) design with columns of scales 1e-8 .. 1e8,
+    which equilibration removes: the QR path's weights, within the
+    least-squares perturbation bound of lstsq's in the equilibrated
+    coordinates, and its full rank."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-8, 9, size=p)
+    y = X @ rng.normal(size=p) + (rng.normal(size=n) if noisy else 0.0)
+    norms = equilibrated(X)
+    with regress._serial_blas():
+        z = regress._qr_solve(X, y, norms)
+    assert z is not None
+    fit = fit_ols(X, y)
+    assert fit.weights.tobytes() == (z / norms).tobytes()
+    w, _, rank_, sv = np.linalg.lstsq(X / norms, y, rcond=None)
+    assert fit.rank == rank_ == p and not fit.rank_deficient
+    kappa = sv[0] / sv[-1]
+    resid = np.linalg.norm(X / norms @ w - y)
+    bound = 10 * n * np.finfo(float).eps * (kappa * np.linalg.norm(w)
+                                            + kappa**2 * resid / sv[0])
+    assert np.linalg.norm(fit.weights * norms - w) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 60), st.integers(0, 2**32 - 1), st.booleans())
+def test_ols_qr_matches_lstsq_on_well_conditioned_designs(p, extra, seed, noisy):
+    check_qr_against_lstsq(p + extra, p, seed, noisy)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_ols_qr_over_several_row_blocks_matches_lstsq(noisy):
+    # 3000 x 200: blocks of 652 rows, the last of 392
+    check_qr_against_lstsq(3000, 200, 5, noisy)
+
+
+def hadamard_design(ratio, n=64, p=16, seed=0):
+    """An (n, p) design whose columns have one norm, so equilibration only
+    scales it, with singular values p - 1 ones and ratio: Q diag(s) H, Q
+    with orthonormal columns and H a Hadamard matrix over sqrt(p)."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(n, p)))[0]
+    H = np.ones((1, 1))
+    while len(H) < p:
+        H = np.kron(H, [[1.0, 1.0], [1.0, -1.0]])
+    s = np.ones(p)
+    s[-1] = ratio
+    return Q @ (s[:, None] * H / np.sqrt(p)), rng.normal(size=n)
+
+
+@pytest.mark.parametrize("factor,full_rank", [(2.0, True), (0.5, False)])
+def test_ols_near_the_rank_cutoff_falls_back_to_gelsd(factor, full_rank):
+    # sigma_min / sigma_max just above and just below lstsq's cutoff
+    # eps max(n, p): with p - 1 unit singular values ||R11||_F is sqrt(p)
+    # sigma_max, so the certificate fails on both, and the fit is the gelsd
+    # path's bit for bit
+    n, p = 64, 16
+    X, y = hadamard_design(factor * np.finfo(float).eps * n, n, p)
+    sv = np.linalg.svd(X / equilibrated(X), compute_uv=False)
+    assert (sv[-1] / sv[0] > np.finfo(float).eps * n) == full_rank
+    assert regress._qr_solve(X, y, equilibrated(X)) is None
+    result = outcome(fit_ols, X, y)
+    assert result == outcome(gelsd_oracle, X, y)
+    assert (result[1] == p) == full_rank
+
+
+def test_ols_without_more_rows_than_columns_or_finite_values_is_unchanged():
+    rng = np.random.default_rng(8)
+    cases = [(rng.normal(size=(n, p)), rng.normal(size=n)) for n, p in [(5, 5), (3, 7), (1, 1)]]
+    X, y = rng.normal(size=(20, 4)), rng.normal(size=20)
+    for i, j, value in [(3, 1, np.nan), (0, 0, np.inf), (5, 2, -np.inf)]:
+        Xbad = X.copy()
+        Xbad[i, j] = value
+        cases.append((Xbad, y))
+    ybad = y.copy()
+    ybad[7] = np.nan
+    cases += [(X, ybad), (np.zeros((6, 3)), y[:6]), (X[:, :0], y)]
+    for X_, y_ in cases:
+        assert outcome(fit_ols, X_, y_) == outcome(gelsd_oracle, X_, y_)
+
+
+def test_ols_does_not_depend_on_the_block_budget(springy_desk, monkeypatch):
+    # the springy fit (blocks of 2 (p + 1) rows) and a 10000 x 30 one
+    # (blocks of 2^17 // (p + 1) = 4228 rows)
+    data, features, decoder, ols = springy_desk[:4]
+    train = Dataset(data.spec, data.rows[:2048], data.label_values[:2048], data.label_units)
+    assert ols.metadata["rank"] == 286 and not ols.metadata["rank_deficient"]
+    rng = np.random.default_rng(6)
+    X, y = rng.normal(size=(10000, 30)), rng.normal(size=10000)
+    narrow = fit_ols(X, y)
+    monkeypatch.setattr(pi, "_BLOCK_ENTRIES", 1)
+    again = fit_monomial_model(train, features, decoder)
+    assert np.array(again.weights).tobytes() == np.array(ols.weights).tobytes()
+    assert fit_ols(X, y).weights.tobytes() == narrow.weights.tobytes()
+
+
+def test_ols_streams_its_qr_in_blocks(springy_desk):
+    # 2048 x 286: four blocks of at most 574 rows, each stacked under the
+    # 287 x 287 triangle; a one-shot QR would hold the equilibrated [X | y]
+    # and numpy's copy of it, twice the design, where the blocks and the
+    # squares the column norms sum need little more than one design
+    data, features, decoder = springy_desk[:3]
+    X = build_design_matrix(data.rows[:2048], features)
+    y = data.label_values[:2048] / build_design_matrix(data.rows[:2048], [decoder])[:, 0]
+    expected = fit_ols(X, y)
+    tracemalloc.start()
+    try:
+        fit = fit_ols(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.weights.tobytes() == expected.weights.tobytes() and fit.rank == 286
+    assert peak <= 1.25 * X.nbytes
+
+
 # ---------------------------------------------------------------------------
 # lasso
 
@@ -541,6 +690,32 @@ def test_dataset_csv_round_trip(tmp_path):
     assert back.label_units == data.label_units
     assert np.array_equal(back.rows, data.rows)
     assert np.array_equal(back.label_values, data.label_values)
+
+
+def csv_writer_oracle(data, path):
+    """The csv.writer loop save_dataset_csv replaced, frozen."""
+    sys_ = data.spec.system
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(data.spec.names() + ["label"])
+        w.writerow([format_unit(f.units, sys_) for f in data.spec.features]
+                   + [format_unit(data.label_units, sys_)])
+        for row, y in zip(data.rows, data.label_values):
+            w.writerow([repr(float(v)) for v in row] + [repr(float(y))])
+
+
+def test_dataset_csv_rows_are_the_csv_writer_lines(tmp_path):
+    rng = np.random.default_rng(7)
+    rows = np.array([[-1.5, 5e-324, 1.7976931348623157e308, -0.0],
+                     [2.2250738585072014e-308, -1e300, 0.1, 1e16],
+                     [0.0, -5e-324, 123456789.0, 1.0 / 3.0]])
+    rows = np.vstack([rows, rng.normal(size=(20, 4)) * 10.0 ** rng.integers(-30, 30, (20, 4))])
+    data = Dataset(MKLP, rows, np.concatenate([[-0.0, -2.5e-310, 7e200], rng.normal(size=20)]),
+                   JOULE)
+    save_dataset_csv(data, tmp_path / "joined.csv")
+    csv_writer_oracle(data, tmp_path / "writer.csv")
+    assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
+    assert b"-0.0," in (tmp_path / "joined.csv").read_bytes()
 
 
 def test_dataset_csv_rejects_wrong_units(tmp_path):
