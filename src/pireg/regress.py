@@ -72,17 +72,6 @@ def _openblas_threads():
     return None
 
 
-@functools.cache
-def _malloc_trim():
-    """glibc's malloc_trim, or None where the C library has none."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, AttributeError, TypeError):
-        return None
-    trim.restype, trim.argtypes = ctypes.c_int, [ctypes.c_size_t]
-    return trim
-
-
 def serial_blas_available() -> bool:
     """Whether _serial_blas pins BLAS to one thread; where it cannot, a
     fitted model's metadata records "blas_serial": false."""
@@ -295,41 +284,43 @@ def _qr_solve(X: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray | N
 def fit_ols(X: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> OlsFit:
     """Least squares via orthogonal factorization, never normal equations.
 
-    ridge > 0 solves the augmented stacked system, which is full rank by
-    construction, with lstsq (SVD).  At ridge 0 the columns are
-    equilibrated to unit norm first (monomial columns span many orders of
-    magnitude).  With more rows than columns and finite values, a streamed
+    One sequence serves every input.  ridge > 0 appends the rows
+    sqrt(ridge) I to X and zeros to y; the stacked system, full rank in
+    exact arithmetic, then takes the same steps as any other.  The columns
+    are equilibrated to unit norm (monomial columns span many orders of
+    magnitude).  A column norm or a label that is not finite raises
+    NonFinite before any factorization: a NaN or +-inf entry, or a finite
+    column whose norm overflows.  With more rows than columns, a streamed
     Householder QR of the equilibrated [X | y] (_qr_solve) solves it when
-    its triangle certifies full column rank.  Otherwise (n <= p, a
-    non-finite value or column norm, or no certificate) lstsq (SVD, gelsd)
-    solves the equilibrated problem; if that reports rank < p, the
-    unequilibrated problem is re-solved so the returned solution is
-    minimum-norm in the original weight scale, and a RankDeficientWarning
-    reports the effective rank.
+    its triangle certifies full column rank.  Otherwise (n <= p, or no
+    certificate) lstsq (SVD, gelsd) solves the equilibrated problem; if
+    that reports rank < p, the unequilibrated problem is re-solved so the
+    returned solution is minimum-norm in the original weight scale, and a
+    RankDeficientWarning reports the effective rank.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if y.shape != (n,):
         raise ValueError("label vector length mismatch")
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
     if ridge > 0:
-        X_aug = np.vstack([X, np.sqrt(ridge) * np.eye(p)])
-        y_aug = np.concatenate([y, np.zeros(p)])
-        w, _, rank_, _ = np.linalg.lstsq(X_aug, y_aug, rcond=None)
-        return OlsFit(w, int(rank_), False)
-    norms = np.sqrt((X * X).sum(axis=0))
+        X = np.vstack([X, np.sqrt(ridge) * np.eye(p)])
+        y = np.concatenate([y, np.zeros(p)])
+        n += p
+    # einsum sums each column in row order, as (X * X).sum(axis=0) does for a
+    # row-major X with p >= 2, with no n x p squares; numpy sums one column pairwise
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.einsum("ij,ij->j", X, X) if p > 1 else (X * X).sum(axis=0))
+    if not np.isfinite(norms).all():
+        raise NonFinite(f"design column {np.argmin(np.isfinite(norms))} is not finite "
+                        "or its norm overflows")
+    if not np.isfinite(y).all():
+        raise NonFinite(f"label {np.argmin(np.isfinite(y))} is not finite")
     norms[norms == 0.0] = 1.0
-    if n > p > 0 and np.isfinite(norms).all() and np.isfinite(y).all():
+    if n > p > 0:
         z = _qr_solve(X, y, norms)
-        # once a larger freed block (such as X * X above) has raised glibc's
-        # mmap threshold, the QR's megabyte buffers come from the heap, which
-        # keeps them after they are freed: 9 MB on the 2048 x 286 springy
-        # fit; hand those pages back
-        trim = _malloc_trim()
-        if trim is not None:
-            trim(0)
         if z is not None:
             return OlsFit(z / norms, p, False)
     z, _, rank_, _ = np.linalg.lstsq(X / norms, y, rcond=None)
@@ -526,23 +517,27 @@ def _label_unit_columns(data: Dataset, monomials: Sequence[Monomial], what: str)
     return values
 
 
+def _require_shared(models: Sequence[RegressionModel]) -> None:
+    """ValueError unless the models share one monomial set, spec and label units."""
+    first = models[0]
+    if any(m.monomials != first.monomials or (m.spec, m.label_units)
+           != (first.spec, first.label_units) for m in models[1:]):
+        raise ValueError("models must share one monomial set, spec and label units")
+
+
 @_serial_blas()
 def _predict_blocks(
     models: Sequence[RegressionModel], rows: np.ndarray, blocks: int
 ) -> np.ndarray:
     """(len(models), blocks * N) predictions of models sharing one monomial
-    set, spec and label units, for `blocks` equal row blocks stacked in one
-    (blocks * N, d) array, from one design matrix and one matrix of decoder
-    columns.  The stacked matmul applies a model's weights to each block's
-    contiguous (N, p) slice, the product a one-block call forms, and a
-    design entry does not depend on the other rows or monomials, so each
-    model's predictions on each block equal predict_rows on it bit for bit.
-    ValueError when the models differ in monomials, spec or label units."""
-    first = models[0]
-    if any(m.monomials != first.monomials or (m.spec, m.label_units)
-           != (first.spec, first.label_units) for m in models[1:]):
-        raise ValueError("models must share one monomial set, spec and label units")
-    X = build_design_matrix(rows, first.monomials)
+    set, spec and label units (_require_shared), for `blocks` equal row
+    blocks stacked in one (blocks * N, d) array, from one design matrix and
+    one matrix of decoder columns.  The stacked matmul applies a model's
+    weights to each block's contiguous (N, p) slice, the product a
+    one-block call forms, and a design entry does not depend on the other
+    rows or monomials, so each model's predictions on each block equal
+    predict_rows on it bit for bit."""
+    X = build_design_matrix(rows, models[0].monomials)
     X = X.reshape(blocks, len(X) // blocks, X.shape[1])
     decoders = [m.decoder for m in models if m.decoder is not None]
     dcols = iter(build_design_matrix(rows, decoders).T if decoders else ())
@@ -636,7 +631,9 @@ def prediction_errors(
 ) -> tuple[list[float], list[float] | None, np.ndarray]:
     """Each model's mean squared error on data, given a scale monomial S with
     the label units its mean of ((pred - label)/S(x))^2 (else None), and the
-    (len(models), N) predictions they score, all from one design matrix."""
+    (len(models), N) predictions they score, all from one design matrix;
+    ValueError as _require_shared."""
+    _require_shared(models)
     preds = _predict_blocks(models, data.rows, 1)
     resid = preds - data.label_values
     errors = [float(np.mean(r * r)) for r in resid]
@@ -680,7 +677,8 @@ def equivariance_residuals(
     residual is that of one predict_rows call per copy at any budget.
     Where a copy fails to evaluate, the first failing copy raises what
     predicting it alone would: PoleAtZero, or NonFinite naming the group
-    copy and the row of rows."""
+    copy and the row of rows; ValueError as _require_shared."""
+    _require_shared(models)
     rows = np.asarray(rows, dtype=float)
     first = models[0]
     rng = np.random.default_rng(seed)

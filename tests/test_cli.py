@@ -378,6 +378,22 @@ def test_regress_data_file_errors_exit_3(pendulum_csvs, tmp_path, capsys, edit, 
     assert message in capsys.readouterr().err
 
 
+def test_regress_design_column_norm_overflow_exits_3(tmp_path, capsys):
+    # every value is finite, but the column a / b reaches 1e160 on one row,
+    # so its norm overflows: a data error, not a misreported rank
+    system = si_system(("m",))
+    spec = FeatureSpec((FeatureDef("a", parse_unit("m", system)),
+                        FeatureDef("b", parse_unit("m", system))), system)
+    rows = np.random.default_rng(3).uniform(1.0, 2.0, (20, 2))
+    rows[4, 0] = 1e160
+    data = regress.Dataset(spec, rows, rows[:, 0], parse_unit("m", system))
+    regress.save_dataset_csv(data, tmp_path / "huge.csv")
+    rc = main(["regress", str(tmp_path / "huge.csv"), "--spec", write_spec(tmp_path, spec, "m"),
+               "--features", "enumerate:1", "--decoder", "expr:b"])
+    assert rc == 3
+    assert "is not finite or its norm overflows" in capsys.readouterr().err
+
+
 # a --features file: that is not JSON, and JSON without the "monomials" key
 @pytest.mark.parametrize("text, message", [
     ("monomials: none\n", "features.json: not valid JSON: Expecting value: line 1 column 1"),

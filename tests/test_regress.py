@@ -315,6 +315,23 @@ def test_ols_ridge_shrinks_norm():
     assert norms[-1] < 1e-3 * norms[0]
 
 
+@pytest.mark.parametrize("ridge", [1e-3, 1.0, 1e3])
+def test_ols_ridge_takes_the_qr_path(ridge):
+    # ridge > 0 is the fit of X with the rows sqrt(ridge) I appended and y
+    # with zeros, bit for bit, certified full rank by the QR even where X
+    # itself repeats a column
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(50, 6)) * 10.0 ** rng.integers(-2, 3, size=6)
+    X[:, 5] = 2.0 * X[:, 0]
+    y = rng.normal(size=50)
+    X_aug, y_aug = np.vstack([X, np.sqrt(ridge) * np.eye(6)]), np.concatenate([y, np.zeros(6)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_ols(X, y, ridge=ridge)
+    assert outcome(fit_ols, X_aug, y_aug) == (fit.weights.tobytes(), 6, False, [])
+    assert_qr_solution(X_aug, y_aug, fit)
+
+
 def test_ols_rank_deficient_minimum_norm():
     X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.array([2.0, 4.0, 6.0])
@@ -328,8 +345,9 @@ def test_ols_rank_deficient_minimum_norm():
 def test_ols_rejects_bad_shapes():
     with pytest.raises(ValueError):
         fit_ols(np.eye(3), np.ones(4))
-    with pytest.raises(ValueError):
-        fit_ols(np.eye(3), np.ones(3), ridge=-1.0)
+    for ridge in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
+            fit_ols(np.eye(3), np.ones(3), ridge=ridge)
 
 
 def equilibrated(X):
@@ -368,16 +386,22 @@ def outcome(fit, X, y):
 def check_qr_against_lstsq(n, p, seed, noisy):
     """fit_ols on a random (n, p) design with columns of scales 1e-8 .. 1e8,
     which equilibration removes: the QR path's weights, within the
-    least-squares perturbation bound of lstsq's in the equilibrated
-    coordinates, and its full rank."""
+    least-squares perturbation bound of lstsq's, and its full rank."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-8, 9, size=p)
     y = X @ rng.normal(size=p) + (rng.normal(size=n) if noisy else 0.0)
+    assert_qr_solution(X, y, fit_ols(X, y))
+
+
+def assert_qr_solution(X, y, fit):
+    """fit is the QR path's solution of (X, y) bit for bit, of full rank,
+    and within the least-squares perturbation bound of lstsq's in the
+    equilibrated coordinates."""
+    n, p = X.shape
     norms = equilibrated(X)
     with regress._serial_blas():
         z = regress._qr_solve(X, y, norms)
     assert z is not None
-    fit = fit_ols(X, y)
     assert fit.weights.tobytes() == (z / norms).tobytes()
     w, _, rank_, sv = np.linalg.lstsq(X / norms, y, rcond=None)
     assert fit.rank == rank_ == p and not fit.rank_deficient
@@ -430,19 +454,41 @@ def test_ols_near_the_rank_cutoff_falls_back_to_gelsd(factor, full_rank):
     assert (result[1] == p) == full_rank
 
 
-def test_ols_without_more_rows_than_columns_or_finite_values_is_unchanged():
+def test_ols_without_more_rows_than_columns_is_unchanged():
     rng = np.random.default_rng(8)
     cases = [(rng.normal(size=(n, p)), rng.normal(size=n)) for n, p in [(5, 5), (3, 7), (1, 1)]]
     X, y = rng.normal(size=(20, 4)), rng.normal(size=20)
+    cases += [(np.zeros((6, 3)), y[:6]), (X[:, :0], y)]
+    for X_, y_ in cases:
+        assert outcome(fit_ols, X_, y_) == outcome(gelsd_oracle, X_, y_)
+
+
+def test_ols_rejects_non_finite_and_overflowing_designs(capfd):
+    # NaN, +-inf, and a finite column whose norm overflows (the 50 x 4
+    # design with a column scaled by 1e160 is full rank) raise NonFinite
+    # before LAPACK sees them, which would print to the terminal and
+    # misreport the rank; a non-finite label likewise, at any ridge
+    rng = np.random.default_rng(8)
+    X, y = rng.normal(size=(50, 4)), rng.normal(size=50)
+    cases = []
     for i, j, value in [(3, 1, np.nan), (0, 0, np.inf), (5, 2, -np.inf)]:
         Xbad = X.copy()
         Xbad[i, j] = value
-        cases.append((Xbad, y))
-    ybad = y.copy()
-    ybad[7] = np.nan
-    cases += [(X, ybad), (np.zeros((6, 3)), y[:6]), (X[:, :0], y)]
-    for X_, y_ in cases:
-        assert outcome(fit_ols, X_, y_) == outcome(gelsd_oracle, X_, y_)
+        cases += [(Xbad, y, 0.0, f"design column {j} "), (Xbad, y, 1.0, f"design column {j} ")]
+    for j in (2, 0):
+        huge = X.copy()
+        huge[:, j] *= 1e160
+        cases += [(huge, y, 0.0, f"design column {j} "), (huge[:, j:j + 1], y, 0.0, "column 0 ")]
+    for value, ridge in [(np.nan, 0.0), (np.inf, 1e-3)]:
+        ybad = y.copy()
+        ybad[7] = value
+        cases.append((X, ybad, ridge, "label 7 "))
+    for X_, y_, ridge, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=message):
+                fit_ols(X_, y_, ridge=ridge)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_ols_does_not_depend_on_the_block_budget(springy_desk, monkeypatch):
@@ -463,8 +509,8 @@ def test_ols_does_not_depend_on_the_block_budget(springy_desk, monkeypatch):
 def test_ols_streams_its_qr_in_blocks(springy_desk):
     # 2048 x 286: four blocks of at most 574 rows, each stacked under the
     # 287 x 287 triangle; a one-shot QR would hold the equilibrated [X | y]
-    # and numpy's copy of it, twice the design, where the blocks and the
-    # squares the column norms sum need little more than one design
+    # and numpy's copy of it, twice the design, where the blocks need
+    # little more than one design
     data, features, decoder = springy_desk[:3]
     X = build_design_matrix(data.rows[:2048], features)
     y = data.label_values[:2048] / build_design_matrix(data.rows[:2048], [decoder])[:, 0]
@@ -1078,8 +1124,10 @@ def test_list_forms_equal_the_one_model_calls():
                          for m in models]
     assert max(residuals[:-1]) <= 1e-10 < residuals[-1]
     other = fit_monomial_model(data, cases["ols"][0][1:], decoders[0])
-    with pytest.raises(ValueError, match="share one monomial set"):
-        prediction_errors(models + [other], data)
+    for scoring in (lambda ms: prediction_errors(ms, data),
+                    lambda ms: equivariance_residuals(ms, data.rows[:20])):
+        with pytest.raises(ValueError, match="share one monomial set"):
+            scoring(models + [other])
 
 
 def test_fit_monomial_model_decoder_unit_mismatch():
