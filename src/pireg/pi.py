@@ -16,6 +16,7 @@ exposed separately.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -114,6 +115,13 @@ class FeatureSpec:
 
     def units_matrix(self) -> IntMatrix:
         return IntMatrix([list(f.units.exps) for f in self.features])
+
+    @functools.cached_property
+    def units_array(self) -> np.ndarray:
+        """The units matrix as a read-only (d, k) int64 array, built once."""
+        U = np.array([f.units.exps for f in self.features], dtype=np.int64)
+        U.flags.writeable = False
+        return U
 
     def weights(self) -> tuple[int, ...]:
         return tuple(f.degree_weight for f in self.features)
@@ -430,7 +438,7 @@ def lattice_points(
     grid = np.indices(sizes, dtype=np.int64).reshape(len(free), count).T + lo
     if target_units is None:
         return grid
-    Ua = np.array(U.entries, dtype=np.int64)
+    Ua = spec.units_array
     target = np.array(target_units.exps, dtype=np.int64)
     pivot = np.empty((count, len(rows)), dtype=np.int64)
     if rows:
@@ -484,7 +492,7 @@ def sample_dimensional_monomials(
     low = np.array([r.start for r in ranges], dtype=np.int64)
     high = np.array([r.stop for r in ranges], dtype=np.int64)
     rng = np.random.default_rng(seed)
-    U = np.array([f.units.exps for f in spec.features], dtype=np.int64)
+    U = spec.units_array
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
     attempts = 0
@@ -532,7 +540,7 @@ def decoder_solutions(
 
 def _unit_rows(monomials: MonomialSet, spec: FeatureSpec) -> np.ndarray:
     """(p, k) int64 unit exponents of the monomials, one row each."""
-    return monomials.exps @ np.array(spec.units_matrix().entries, dtype=np.int64)
+    return monomials.exps @ spec.units_array
 
 
 def monomials_to_json(monomials: MonomialSet, spec: FeatureSpec) -> list[dict]:

@@ -148,8 +148,7 @@ class Dataset:
     def rescaled(self, g: GroupElement) -> Dataset:
         """The same data in the unit system g moves to: each feature column
         and the labels times their units' scale_factor."""
-        U = np.array([f.units.exps for f in self.spec.features] + [self.label_units.exps])
-        scales = scale_factor(g, U)
+        scales = scale_factor(g, np.vstack([self.spec.units_array, self.label_units.exps]))
         return Dataset(self.spec, self.rows * scales[:-1], self.label_values * scales[-1],
                        self.label_units)
 
@@ -254,7 +253,10 @@ def _qr_solve(X: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray | N
     R11 = R[:p, :p], 1 / ||inv(R11)||_F <= sigma_min and ||R11||_F >=
     sigma_max, so 1 / ||inv(R11)||_F > eps max(n, p) ||R11||_F proves the
     rank that lstsq (gelsd, cutoff eps max(n, p) sigma_max) would report is
-    p; then z solves R11 z = R[:p, p] by back substitution."""
+    p; then z = inv(R11) R[:p, p], from the inverse the certificate formed,
+    refined once: a product with an explicit inverse is not backward stable,
+    and one step brings the residual back to the level back substitution
+    reaches."""
     n, p = X.shape
     step = max(2 * (p + 1), 2**17 // (p + 1))
     # the running triangle's rows, then the next block's
@@ -271,13 +273,12 @@ def _qr_solve(X: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray | N
     if not np.diag(R11).all():
         return None
     with np.errstate(all="ignore"):
-        inverse_norm = np.linalg.norm(_triu_inverse(R11))
-        if not 1.0 / inverse_norm > np.finfo(float).eps * max(n, p) * np.linalg.norm(R11):
+        inverse = _triu_inverse(R11)
+        cutoff = np.finfo(float).eps * max(n, p) * np.linalg.norm(R11)
+        if not 1.0 / np.linalg.norm(inverse) > cutoff:
             return None
-    z = np.empty(p)
-    for i in range(p - 1, -1, -1):
-        z[i] = (r[i] - R11[i, i + 1:] @ z[i + 1:]) / R11[i, i]
-    return z
+    z = inverse @ r
+    return z + inverse @ (r - R11 @ z)
 
 
 @_serial_blas()
@@ -413,8 +414,8 @@ def fit_lasso(
     n, p = X.shape
     if y.shape != (n,):
         raise ValueError("label vector length mismatch")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be a finite number >= 0, got {lam}")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     mu, sd, live, XsT, yc, c = _standardized(X, y)
@@ -661,8 +662,14 @@ def equivariance_residuals(
     models: Sequence[RegressionModel], rows, n_group: int = 100, seed: int = 0
 ) -> list[float]:
     """Each model's max relative deviation of predict(g.x) vs g.predict(x)
-    over n_group random group elements, each base unit's factor drawn from
-    Unif(0.1, 10); 0 up to float roundoff for any decoder-backed model.
+    over n_group random power-of-two group elements, each base unit's factor
+    2^k with k drawn from the integers -20..20, one rng.integers call per
+    element.  Scaling by 2^k is exact in binary floating point, so every
+    dimensionless design entry of g.x equals that of x and a decoder column
+    is scaled by exactly the label's factor: the residual of any
+    decoder-backed model is exactly 0, unless a scaled value overflows
+    (NonFinite, below) or becomes subnormal.  A model without a decoder
+    misses the label's factor and reads > 0.
 
     Group copy 0 is the rows themselves and copy c the rows rescaled by the
     c-th element, a units.GroupElement whose one scale_factor call gives the
@@ -683,7 +690,7 @@ def equivariance_residuals(
     first = models[0]
     rng = np.random.default_rng(seed)
     # one unit row per feature, then the label's
-    U = np.array([f.units.exps for f in first.spec.features] + [first.label_units.exps])
+    U = np.vstack([first.spec.units_array, first.label_units.exps])
     width = len(first.monomials) + len(models)
     per_stack = max(1, pi._BLOCK_ENTRIES // max(1, rows.shape[0] * width))
     worst = np.zeros(len(models))
@@ -691,7 +698,7 @@ def equivariance_residuals(
         copies = [rows] if start == 0 else []
         label_scales = []
         for _ in range(max(start, 1), min(start + per_stack, n_group + 1)):
-            g = GroupElement(tuple(rng.uniform(0.1, 10.0, size=first.spec.k)))
+            g = GroupElement(tuple(np.ldexp(1.0, rng.integers(-20, 21, size=first.spec.k))))
             scales = scale_factor(g, U)
             label_scales.append(scales[-1])
             copies.append(rows * scales[None, :-1])

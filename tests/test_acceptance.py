@@ -263,7 +263,7 @@ def test_criterion_05_equivariance_suite():
         )
     print("criterion 05: " + " ".join(f"{k}={v:.2e}" for k, v in worst.items()))
     for name, dev in worst.items():
-        assert dev <= 1e-10, name
+        assert dev == 0.0, name
 
 
 def test_criterion_06_integer_algebra():
@@ -340,7 +340,7 @@ def test_criterion_08_rietkerk_direction(tmp_path):
     assert results["n_features_baseline"] == 33
     assert dim["test_mse"] <= base["test_mse"]
     assert dim["test_pearson"] >= base["test_pearson"]
-    assert dim["equivariance_residual"] <= 1e-10
+    assert dim["equivariance_residual"] == 0.0
     assert elapsed < 15 * 60
 
 

@@ -202,7 +202,7 @@ def test_regress_exact_recovery(pendulum_csvs, tmp_path, capsys):
     entry = payload["results"]["models"][0]
     assert entry["decoder"] == "k_s L^2"
     assert entry["test_dimensionless_mse"] <= 1e-10
-    assert entry["equivariance_residual"] <= 1e-10
+    assert entry["equivariance_residual"] == 0.0
     top5 = {e["monomial"]: e["weight"] for e in entry["top_weights"][:5]}
     assert set(top5) == set(TRUTH_WEIGHTS)
     for name, w in TRUTH_WEIGHTS.items():
@@ -336,6 +336,17 @@ def test_regress_nonconvergence_exit_code(pendulum_csvs, tmp_path, capsys):
     assert report.exists()  # report written despite the warning exit
     entry = json.loads(report.read_text())["results"]["models"][0]
     assert entry["metadata"]["converged"] is False
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_regress_non_finite_lambda_is_spec_error(pendulum_csvs, capsys, lam):
+    rc = main([
+        "regress", pendulum_csvs["train"], "--spec", pendulum_csvs["spec"],
+        "--features", "enumerate:2", "--decoder", "expr:k_s L^2",
+        "--method", "lasso", "--lambda", lam,
+    ])
+    assert rc == 2
+    assert f"lambda must be a finite number >= 0, got {lam}" in capsys.readouterr().err
 
 
 def test_regress_data_errors(pendulum_csvs, tmp_path):
@@ -547,7 +558,7 @@ def test_experiment_blackbody_report_and_determinism(tmp_path, capsys):
     assert results["decoders"] == ["lam^-4 T c k_B"]
     model = results["models"][0]
     assert model["constant"] == pytest.approx(2.0, rel=1e-9)
-    assert model["equivariance_residual"] <= 1e-10
+    assert model["equivariance_residual"] == 0.0
     for name in ("train.csv", "test.csv", "model.json"):
         assert (out / name).exists()
 
@@ -567,7 +578,7 @@ def test_experiment_springy_desk(tmp_path, capsys):
     assert results["decoder"] == "k_s L^2"
     ols = results["ols"]
     assert ols["test_dimensionless_mse"] <= 1e-10
-    assert ols["equivariance_residual"] <= 1e-10
+    assert ols["equivariance_residual"] == 0.0
     top5 = {e["monomial"]: e["weight"] for e in ols["top_weights"][:5]}
     for name, w in TRUTH_WEIGHTS.items():
         assert top5[name] == pytest.approx(w, abs=1e-6)
@@ -764,7 +775,7 @@ def test_run_rietkerk_small(tmp_path):
     assert results["decoder"] == "k2"
     assert np.isfinite(results["dimensionless"]["test_mse"])
     assert np.isfinite(results["baseline"]["test_pearson"])
-    assert results["dimensionless"]["equivariance_residual"] <= 1e-10
+    assert results["dimensionless"]["equivariance_residual"] == 0.0
     assert results["metadata"]["n_cells"] == 50
     for name in ("train.csv", "test.csv", "model_dimensionless.json",
                  "model_baseline.json"):
