@@ -19,7 +19,6 @@ from .units import (
     si_system,
 )
 from .intlinalg import (
-    IntMatrix,
     nullspace_basis,
     rank,
     smith_normal_form,

@@ -61,11 +61,11 @@ def cmd_units_check(args, config) -> int:
     spec, label_units = load_spec_file(args.spec)
     from .intlinalg import rank as int_rank
 
-    rk = int_rank(spec.units_matrix())
+    rk = int_rank(spec.units_array)
     s = spec.d - rk
     print(f"d={spec.d} k={spec.k} rank={rk} s={s}")
     if label_units is not None:
-        sol = solve_diophantine(spec.units_matrix(), label_units.exps)
+        sol = solve_diophantine(spec.units_array, label_units.exps)
         print(f"label units reachable: {'yes' if sol is not None else 'no'}")
     return EXIT_OK
 
@@ -125,7 +125,7 @@ def _resolve_decoders(arg: str, spec, label_units, max_degree) -> list[Monomial]
         raise DataError(f"unknown --decoder value {arg!r}")
     sols = pi.decoder_solutions(spec, label_units, max_degree)
     if not sols:
-        if solve_diophantine(spec.units_matrix(), label_units.exps) is None:
+        if solve_diophantine(spec.units_array, label_units.exps) is None:
             raise DataError("no decoder monomial exists for the label units")
         raise DataError(
             f"no decoder monomial for the label units has degree <= {max_degree}; "

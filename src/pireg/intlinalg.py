@@ -1,12 +1,13 @@
 """Exact integer linear algebra: Smith normal form, integer nullspace
 lattices, and Diophantine solves.
 
-Everything here runs on Python ints, so there is no overflow to guard
-against and no floating point anywhere.  The Smith decomposition is the
-workhorse: S * A * T = D with S, T unimodular and D diagonal with a
-divisibility chain d_1 | d_2 | ... .  Rank, the left-nullspace lattice
-{alpha : alpha^T A = 0}, and particular solutions of alpha^T A = b^T all
-read off from it.
+Every function takes a matrix as integer rows (nested sequences of ints,
+or a 2-D integer numpy array) and works on Python ints, so there is no
+overflow to guard against and no floating point anywhere.  The Smith
+decomposition is the workhorse: S * A * T = D with S, T unimodular and D
+diagonal with a divisibility chain d_1 | d_2 | ... .  Rank, the
+left-nullspace lattice {alpha : alpha^T A = 0}, and particular solutions
+of alpha^T A = b^T all read off from it.
 """
 
 from __future__ import annotations
@@ -14,60 +15,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class IntMatrix:
-    """A dense integer matrix (row-major list of lists, copied on input)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        entries = [list(row) for row in entries]
-        if not entries or not entries[0]:
-            raise ValueError("matrix must have at least one row and one column")
-        width = len(entries[0])
-        for row in entries:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise TypeError(f"entries must be ints, got {x!r}")
-        self.rows = len(entries)
-        self.cols = width
-        self.entries = entries
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        bt = list(zip(*other.entries))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]
-        )
-
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
-
-    def __repr__(self):
-        return f"IntMatrix({self.entries})"
+def _rows(A) -> list[list[int]]:
+    """A's rows as fresh lists of Python ints, an array's read by .tolist().
+    ValueError for a matrix with no row or no column or with ragged rows;
+    TypeError for an entry that is not an int (a bool, or any float array)."""
+    rows = [list(row) for row in (A.tolist() if hasattr(A, "tolist") else A)]
+    if not rows or not rows[0]:
+        raise ValueError("matrix must have at least one row and one column")
+    for row in rows:
+        if len(row) != len(rows[0]):
+            raise ValueError("ragged rows")
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise TypeError(f"entries must be ints, got {x!r}")
+    return rows
 
 
-def det(A: IntMatrix) -> int:
+def det(A) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    if A.rows != A.cols:
+    m = _rows(A)
+    n = len(m)
+    if n != len(m[0]):
         raise ValueError("determinant of a non-square matrix")
-    n = A.rows
-    m = [row[:] for row in A.entries]
     sign = 1
     prev = 1
     for t in range(n - 1):
@@ -87,36 +56,34 @@ def det(A: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def adjugate(A: IntMatrix) -> IntMatrix:
-    """Exact adjugate, adj(A) @ A = A @ adj(A) = det(A) * I, from cofactors."""
-    if A.rows != A.cols:
+def adjugate(A) -> list[list[int]]:
+    """Exact adjugate, adj(A) A = A adj(A) = det(A) I, from cofactors."""
+    m = _rows(A)
+    n = len(m)
+    if n != len(m[0]):
         raise ValueError("adjugate of a non-square matrix")
-    n = A.rows
     if n == 1:
-        return IntMatrix([[1]])
-    m = A.entries
-    return IntMatrix([
-        [(-1) ** (i + j) * det(IntMatrix([row[:i] + row[i + 1:]
-                                          for r, row in enumerate(m) if r != j]))
+        return [[1]]
+    return [
+        [(-1) ** (i + j) * det([row[:i] + row[i + 1:] for r, row in enumerate(m) if r != j])
          for j in range(n)]
         for i in range(n)
-    ])
+    ]
 
 
-def nonsingular_minor(A: IntMatrix, row_order) -> tuple[list[int], list[int]]:
+def nonsingular_minor(A, row_order) -> tuple[list[int], list[int]]:
     """Rows R and columns C of A with A[R, C] nonsingular and |R| = rank(A).
 
     Rows are tried in row_order; one joins R when some unused column extends
     the nonsingular minor, which happens exactly when the row is independent
     of R, so R is the first basis of the row space in that order.
     """
+    m = _rows(A)
     rows: list[int] = []
     cols: list[int] = []
     for i in row_order:
-        for j in range(A.cols):
-            if j not in cols and det(
-                IntMatrix([[A.entries[a][b] for b in cols + [j]] for a in rows + [i]])
-            ):
+        for j in range(len(m[0])):
+            if j not in cols and det([[m[a][b] for b in cols + [j]] for a in rows + [i]]):
                 rows.append(i)
                 cols.append(j)
                 break
@@ -125,15 +92,14 @@ def nonsingular_minor(A: IntMatrix, row_order) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """S * A * T = D, with S (r x r) and T (c x c) unimodular."""
+    """S * A * T = D as integer rows, with S (r x r) and T (c x c) unimodular."""
 
-    S: IntMatrix
-    D: IntMatrix
-    T: IntMatrix
+    S: list[list[int]]
+    D: list[list[int]]
+    T: list[list[int]]
 
     def diagonal(self) -> list[int]:
-        n = min(self.D.rows, self.D.cols)
-        return [self.D.entries[i][i] for i in range(n)]
+        return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0])))]
 
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
@@ -155,7 +121,7 @@ def _min_abs_pivot(m, t, r, c):
     return best
 
 
-def smith_normal_form(A: IntMatrix) -> SnfDecomposition:
+def smith_normal_form(A) -> SnfDecomposition:
     """Smith normal form by gcd reduction with min-|entry| pivoting.
 
     Row operations on the working copy are mirrored on S, column operations
@@ -166,10 +132,10 @@ def smith_normal_form(A: IntMatrix) -> SnfDecomposition:
     so the round terminates with the corner dividing the whole trailing
     submatrix.
     """
-    r, c = A.rows, A.cols
-    m = [row[:] for row in A.entries]
-    s = IntMatrix.identity(r).entries
-    t_ = IntMatrix.identity(c).entries
+    m = _rows(A)
+    r, c = len(m), len(m[0])
+    s = [[int(i == j) for j in range(r)] for i in range(r)]
+    t_ = [[int(i == j) for j in range(c)] for i in range(c)]
 
     for t in range(min(r, c)):
         while True:
@@ -226,10 +192,10 @@ def smith_normal_form(A: IntMatrix) -> SnfDecomposition:
             m[t] = [a + b for a, b in zip(m[t], m[offender])]
             s[t] = [a + b for a, b in zip(s[t], s[offender])]
 
-    return SnfDecomposition(IntMatrix(s), IntMatrix(m), IntMatrix(t_))
+    return SnfDecomposition(s, m, t_)
 
 
-def rank(A: IntMatrix) -> int:
+def rank(A) -> int:
     """Rank over the rationals (= number of nonzero Smith diagonal entries)."""
     return smith_normal_form(A).rank()
 
@@ -241,7 +207,7 @@ def _sign_normalized(vec):
     return tuple(vec)
 
 
-def nullspace_basis(A: IntMatrix) -> list[tuple[int, ...]]:
+def nullspace_basis(A) -> list[tuple[int, ...]]:
     """Basis of the integer lattice {alpha in Z^r : alpha^T A = 0}.
 
     With S*A*T = D, a row vector alpha^T kills A iff beta^T = alpha^T S^-1
@@ -251,11 +217,10 @@ def nullspace_basis(A: IntMatrix) -> list[tuple[int, ...]]:
     primitive; signs are normalized so the first nonzero entry is positive.
     """
     snf = smith_normal_form(A)
-    rk = snf.rank()
-    return [_sign_normalized(snf.S.entries[i]) for i in range(rk, A.rows)]
+    return [_sign_normalized(row) for row in snf.S[snf.rank():]]
 
 
-def solve_diophantine(A: IntMatrix, b):
+def solve_diophantine(A, b):
     """One integer solution alpha of alpha^T A = b^T, or None.
 
     Substituting the Smith form turns the system into beta^T D = b^T T,
@@ -263,13 +228,12 @@ def solve_diophantine(A: IntMatrix, b):
     alpha^T = beta^T S.  Free coordinates are set to zero, so the particular
     solution is deterministic.
     """
-    b = list(b)
-    if len(b) != A.cols:
-        raise ValueError(f"right-hand side has length {len(b)}, expected {A.cols}")
     snf = smith_normal_form(A)
-    r, c = A.rows, A.cols
-    d = snf.D.entries
-    t_ = snf.T.entries
+    s, d, t_ = snf.S, snf.D, snf.T
+    r, c = len(s), len(t_)
+    b = list(b)
+    if len(b) != c:
+        raise ValueError(f"right-hand side has length {len(b)}, expected {c}")
     gamma = [sum(b[i] * t_[i][j] for i in range(c)) for j in range(c)]
     beta = [0] * r
     for j in range(c):
@@ -280,5 +244,4 @@ def solve_diophantine(A: IntMatrix, b):
             beta[j] = gamma[j] // dj
         elif gamma[j] != 0:
             return None
-    s = snf.S.entries
     return tuple(sum(beta[i] * s[i][j] for i in range(r)) for j in range(r))

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .intlinalg import IntMatrix, adjugate, det, nonsingular_minor, nullspace_basis
+from .intlinalg import adjugate, det, nonsingular_minor, nullspace_basis
 from .units import (
     BaseUnitSystem,
     UnitMismatch,
@@ -112,9 +112,6 @@ class FeatureSpec:
             if f.name == name:
                 return i
         raise KeyError(name)
-
-    def units_matrix(self) -> IntMatrix:
-        return IntMatrix([list(f.units.exps) for f in self.features])
 
     @functools.cached_property
     def units_array(self) -> np.ndarray:
@@ -382,7 +379,7 @@ def dimensionless_basis(spec: FeatureSpec) -> MonomialSet:
     len == d - rank(U).  Deterministic: the Smith decomposition of the units
     matrix is pivoted deterministically and basis vectors are sign-normalized.
     """
-    basis = nullspace_basis(spec.units_matrix())
+    basis = nullspace_basis(spec.units_array)
     return MonomialSet(np.array(basis, dtype=np.int64).reshape(len(basis), spec.d))
 
 
@@ -425,7 +422,7 @@ def lattice_points(
     if target_units is not None and len(target_units) != spec.k:
         raise ValueError("target units live in a different base system")
     ranges = _exponent_ranges(spec, max_degree)
-    U = spec.units_matrix()
+    U = spec.units_array.tolist()
     rows, cols = ([], []) if target_units is None else nonsingular_minor(
         U, sorted(range(spec.d), key=lambda i: (ranges[i].start - ranges[i].stop, i)))
     free = [i for i in range(spec.d) if i not in rows]
@@ -442,12 +439,12 @@ def lattice_points(
     target = np.array(target_units.exps, dtype=np.int64)
     pivot = np.empty((count, len(rows)), dtype=np.int64)
     if rows:
-        M = IntMatrix([[U.entries[i][j] for j in cols] for i in rows])
-        det_m, adj = det(M), adjugate(M).entries
+        M = [[U[i][j] for j in cols] for i in rows]
+        det_m, adj = det(M), adjugate(M)
         # |b| and |alpha^T U| stay below scale, and the solve multiplies b
         # by at most r * max|adj(M)|, so int64 holds every intermediate
         scale = max(map(abs, target_units.exps)) + sum(
-            max(-r.start, r.stop - 1) * max(map(abs, row)) for r, row in zip(ranges, U.entries))
+            max(-r.start, r.stop - 1) * max(map(abs, row)) for r, row in zip(ranges, U))
         if scale * len(rows) * max(abs(a) for row in adj for a in row) >= 2**63:
             raise ValueError("unit exponents too large for the int64 lattice solve")
         # an inexact division floors to a pivot that fails the unit check

@@ -281,6 +281,20 @@ def _qr_solve(X: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray | N
     return z + inverse @ (r - R11 @ z)
 
 
+def _finite_norms(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The column norms of X, each summed in row order with no n x p
+    squares; NonFinite where a norm is not finite (a NaN or +-inf entry, or
+    a finite column whose norm overflows) or a label is not finite."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+    if not np.isfinite(norms).all():
+        raise NonFinite(f"design column {np.argmin(np.isfinite(norms))} is not finite "
+                        "or its norm overflows")
+    if not np.isfinite(y).all():
+        raise NonFinite(f"label {np.argmin(np.isfinite(y))} is not finite")
+    return norms
+
+
 @_serial_blas()
 def fit_ols(X: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> OlsFit:
     """Least squares via orthogonal factorization, never normal equations.
@@ -310,15 +324,7 @@ def fit_ols(X: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> OlsFit:
         X = np.vstack([X, np.sqrt(ridge) * np.eye(p)])
         y = np.concatenate([y, np.zeros(p)])
         n += p
-    # einsum sums each column in row order, as (X * X).sum(axis=0) does for a
-    # row-major X with p >= 2, with no n x p squares; numpy sums one column pairwise
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.einsum("ij,ij->j", X, X) if p > 1 else (X * X).sum(axis=0))
-    if not np.isfinite(norms).all():
-        raise NonFinite(f"design column {np.argmin(np.isfinite(norms))} is not finite "
-                        "or its norm overflows")
-    if not np.isfinite(y).all():
-        raise NonFinite(f"label {np.argmin(np.isfinite(y))} is not finite")
+    norms = _finite_norms(X, y)
     norms[norms == 0.0] = 1.0
     if n > p > 0:
         z = _qr_solve(X, y, norms)
@@ -358,7 +364,9 @@ def _standardized(X: np.ndarray, y: np.ndarray):
     """The standardized problem that fit_lasso solves: (mu, sd, live, XsT,
     yc, c) with mu and sd the column means and standard deviations, live the
     indices of the nonconstant columns, XsT their standardized values as
-    contiguous rows, yc the centered label and c = XsT yc / N."""
+    contiguous rows, yc the centered label and c = XsT yc / N.  NonFinite
+    on the inputs fit_ols rejects (_finite_norms)."""
+    _finite_norms(X, y)
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
     live = np.flatnonzero(sd > 0.0)
@@ -537,7 +545,8 @@ def _predict_blocks(
     weights to each block's contiguous (N, p) slice, the product a
     one-block call forms, and a design entry does not depend on the other
     rows or monomials, so each model's predictions on each block equal
-    predict_rows on it bit for bit."""
+    predict_rows on it bit for bit.  NonFinite, naming the model's index and
+    the stacked row, where a prediction is not finite."""
     X = build_design_matrix(rows, models[0].monomials)
     X = X.reshape(blocks, len(X) // blocks, X.shape[1])
     decoders = [m.decoder for m in models if m.decoder is not None]
@@ -547,6 +556,9 @@ def _predict_blocks(
         out[:] = (X @ np.asarray(model.weights, dtype=float)).ravel() + model.intercept
         if model.decoder is not None:
             out *= next(dcols)
+    if not np.isfinite(preds).all():
+        i, row = np.argwhere(~np.isfinite(preds))[0]
+        raise NonFinite(f"model {i}'s prediction at row {row} is not finite")
     return preds
 
 
@@ -684,7 +696,10 @@ def equivariance_residuals(
     residual is that of one predict_rows call per copy at any budget.
     Where a copy fails to evaluate, the first failing copy raises what
     predicting it alone would: PoleAtZero, or NonFinite naming the group
-    copy and the row of rows; ValueError as _require_shared."""
+    copy and the row of rows; ValueError as _require_shared, or for
+    n_group < 1."""
+    if n_group < 1:
+        raise ValueError(f"n_group must be >= 1, got {n_group}")
     _require_shared(models)
     rows = np.asarray(rows, dtype=float)
     first = models[0]
@@ -717,9 +732,8 @@ def equivariance_residuals(
             base, pred = pred[:, 0], pred[:, 1:]
         rhs = base[:, None, :] * np.array(label_scales)[:, None]
         denom = np.maximum(np.abs(pred) + np.abs(rhs), 1e-300)
-        # worst copy, skipping a copy whose deviation is NaN
         dev = np.max(np.abs(pred - rhs) / denom, axis=2)
-        worst = np.fmax(worst, np.fmax.reduce(dev, axis=1, initial=0.0))
+        worst = np.maximum(worst, np.max(dev, axis=1, initial=0.0))
     return [float(w) for w in worst]
 
 

@@ -1,12 +1,12 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pireg.intlinalg import (
-    IntMatrix,
     adjugate,
     det,
     nonsingular_minor,
@@ -35,6 +35,15 @@ def rational_rank(rows):
     return r
 
 
+def matmul(A, B):
+    """Exact product of two integer row matrices."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 int_matrices = st.integers(1, 6).flatmap(
     lambda r: st.integers(1, 6).flatmap(
         lambda c: st.lists(
@@ -43,23 +52,23 @@ int_matrices = st.integers(1, 6).flatmap(
             max_size=r,
         )
     )
-).map(IntMatrix)
+)
 
 
 def test_snf_identity():
-    snf = smith_normal_form(IntMatrix.identity(3))
-    assert snf.D == IntMatrix.identity(3)
+    snf = smith_normal_form(identity(3))
+    assert snf.D == identity(3)
 
 
 def test_snf_worked_example():
     # invariant factors of [[2,4],[6,8]]: gcd of entries 2, then |det|/2 = 4
-    snf = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
+    snf = smith_normal_form([[2, 4], [6, 8]])
     assert snf.diagonal() == [2, 4]
-    assert snf.S @ IntMatrix([[2, 4], [6, 8]]) @ snf.T == snf.D
+    assert matmul(matmul(snf.S, [[2, 4], [6, 8]]), snf.T) == snf.D
 
 
 def test_snf_zero_matrix():
-    zeros = IntMatrix([[0] * 3] * 2)
+    zeros = [[0] * 3] * 2
     snf = smith_normal_form(zeros)
     assert snf.D == zeros
     assert snf.rank() == 0
@@ -68,15 +77,15 @@ def test_snf_zero_matrix():
 @given(int_matrices)
 def test_snf_reconstruction_and_structure(A):
     snf = smith_normal_form(A)
-    r, c = A.shape
-    assert snf.S @ A @ snf.T == snf.D
+    r, c = len(A), len(A[0])
+    assert matmul(matmul(snf.S, A), snf.T) == snf.D
     assert abs(det(snf.S)) == 1
     assert abs(det(snf.T)) == 1
     diag = snf.diagonal()
     for i in range(r):
         for j in range(c):
             if i != j:
-                assert snf.D.entries[i][j] == 0
+                assert snf.D[i][j] == 0
     assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
         if a != 0:
@@ -87,43 +96,41 @@ def test_snf_reconstruction_and_structure(A):
 
 @given(int_matrices)
 def test_rank_matches_rational_elimination(A):
-    assert rank(A) == rational_rank(A.entries)
+    assert rank(A) == rational_rank(A)
 
 
 def test_rank_three_velocities():
-    assert rank(IntMatrix([[1, -1], [1, -1], [1, -1]])) == 1
+    assert rank([[1, -1], [1, -1], [1, -1]]) == 1
 
 
 def test_rank_planck_units():
-    planck = IntMatrix(
-        [
-            [0, 1, 0, 0],  # wavelength
-            [0, 0, 0, 1],  # temperature
-            [0, 1, -1, 0],  # speed of light
-            [1, 2, -2, -1],  # Boltzmann constant
-        ]
-    )
+    planck = [
+        [0, 1, 0, 0],  # wavelength
+        [0, 0, 0, 1],  # temperature
+        [0, 1, -1, 0],  # speed of light
+        [1, 2, -2, -1],  # Boltzmann constant
+    ]
     assert rank(planck) == 4
     assert nullspace_basis(planck) == []
 
 
 def test_nullspace_three_velocities():
-    A = IntMatrix([[1, -1], [1, -1], [1, -1]])
+    A = [[1, -1], [1, -1], [1, -1]]
     basis = nullspace_basis(A)
     assert len(basis) == 2
     for v in basis:
-        assert all(sum(v[i] * A.entries[i][j] for i in range(3)) == 0 for j in range(2))
+        assert all(sum(v[i] * A[i][j] for i in range(3)) == 0 for j in range(2))
 
 
 def test_nullspace_single_dimensionless_feature():
-    assert nullspace_basis(IntMatrix([[0, 0, 0]])) == [(1,)]
+    assert nullspace_basis([[0, 0, 0]]) == [(1,)]
 
 
 def brute_force_members(A, bound=3):
-    r, c = A.shape
+    r, c = len(A), len(A[0])
     out = set()
     for v in itertools.product(range(-bound, bound + 1), repeat=r):
-        if all(sum(v[i] * A.entries[i][j] for i in range(r)) == 0 for j in range(c)):
+        if all(sum(v[i] * A[i][j] for i in range(r)) == 0 for j in range(c)):
             out.add(v)
     return out
 
@@ -131,18 +138,18 @@ def brute_force_members(A, bound=3):
 @given(int_matrices)
 @settings(max_examples=60)
 def test_nullspace_basis_spans_brute_force_members(A):
-    r, _ = A.shape
+    r = len(A)
     basis = nullspace_basis(A)
     members = brute_force_members(A)
     # every basis vector lies in the kernel
     for v in basis:
         assert all(
-            sum(v[i] * A.entries[i][j] for i in range(r)) == 0
-            for j in range(A.shape[1])
+            sum(v[i] * A[i][j] for i in range(r)) == 0
+            for j in range(len(A[0]))
         )
     # every small kernel vector is an integer combination of the basis:
     # solve alpha = x . B by treating B as a matrix equation over the lattice
-    B = IntMatrix([list(v) for v in basis]) if basis else None
+    B = basis or None
     for alpha in members:
         if B is None:
             assert all(a == 0 for a in alpha)
@@ -151,58 +158,56 @@ def test_nullspace_basis_spans_brute_force_members(A):
 
 
 def test_solve_planck_decoder():
-    planck = IntMatrix(
-        [
-            [0, 1, 0, 0],
-            [0, 0, 0, 1],
-            [0, 1, -1, 0],
-            [1, 2, -2, -1],
-        ]
-    )
+    planck = [
+        [0, 1, 0, 0],
+        [0, 0, 0, 1],
+        [0, 1, -1, 0],
+        [1, 2, -2, -1],
+    ]
     alpha = solve_diophantine(planck, [1, -1, -3, 0])
     assert alpha == (-4, 1, 1, 1)
 
 
 def test_solve_zero_target():
-    A = IntMatrix([[1, 2], [3, 4], [5, 6]])
+    A = [[1, 2], [3, 4], [5, 6]]
     alpha = solve_diophantine(A, [0, 0])
     assert alpha is not None
-    assert all(sum(alpha[i] * A.entries[i][j] for i in range(3)) == 0 for j in range(2))
+    assert all(sum(alpha[i] * A[i][j] for i in range(3)) == 0 for j in range(2))
 
 
 def test_solve_parity_obstruction():
-    assert solve_diophantine(IntMatrix([[2]]), [1]) is None
+    assert solve_diophantine([[2]], [1]) is None
 
 
 @given(int_matrices, st.lists(st.integers(-4, 4), min_size=1, max_size=6))
 @settings(max_examples=60)
 def test_solve_returns_actual_solutions(A, b):
-    r, c = A.shape
+    r, c = len(A), len(A[0])
     b = (b * c)[:c]
     alpha = solve_diophantine(A, b)
     if alpha is not None:
         assert all(
-            sum(alpha[i] * A.entries[i][j] for i in range(r)) == b[j] for j in range(c)
+            sum(alpha[i] * A[i][j] for i in range(r)) == b[j] for j in range(c)
         )
 
 
 @given(int_matrices)
 @settings(max_examples=60)
 def test_solve_finds_planted_solutions(A):
-    r, c = A.shape
+    r, c = len(A), len(A[0])
     planted = [(-1) ** i * (i % 3) for i in range(r)]
-    b = [sum(planted[i] * A.entries[i][j] for i in range(r)) for j in range(c)]
+    b = [sum(planted[i] * A[i][j] for i in range(r)) for j in range(c)]
     assert solve_diophantine(A, b) is not None
 
 
 def test_det_small_cases():
-    assert det(IntMatrix([[5]])) == 5
-    assert det(IntMatrix([[1, 2], [3, 4]])) == -2
-    assert det(IntMatrix.identity(4)) == 1
+    assert det([[5]]) == 5
+    assert det([[1, 2], [3, 4]]) == -2
+    assert det(identity(4)) == 1
 
 
 def permutation_det(A):
-    n = A.shape[0]
+    n = len(A)
     total = 0
     for perm in itertools.permutations(range(n)):
         sign = 1
@@ -212,7 +217,7 @@ def permutation_det(A):
                     sign = -sign
         term = sign
         for i in range(n):
-            term *= A.entries[i][perm[i]]
+            term *= A[i][perm[i]]
         total += term
     return total
 
@@ -221,7 +226,7 @@ square_matrices = st.integers(1, 4).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n
     )
-).map(IntMatrix)
+)
 
 
 @given(square_matrices)
@@ -231,30 +236,51 @@ def test_det_matches_permutation_expansion(A):
 
 @given(square_matrices)
 def test_adjugate_times_matrix_is_det_identity(A):
-    scaled = IntMatrix([[det(A) if i == j else 0 for j in range(A.rows)]
-                        for i in range(A.rows)])
-    assert adjugate(A) @ A == scaled
-    assert A @ adjugate(A) == scaled
+    scaled = [[det(A) if i == j else 0 for j in range(len(A))] for i in range(len(A))]
+    assert matmul(adjugate(A), A) == scaled
+    assert matmul(A, adjugate(A)) == scaled
 
 
 @given(int_matrices, st.randoms(use_true_random=False))
 def test_nonsingular_minor_is_first_row_basis(A, rnd):
-    order = list(range(A.rows))
+    order = list(range(len(A)))
     rnd.shuffle(order)
     rows, cols = nonsingular_minor(A, order)
-    assert len(rows) == len(cols) == rational_rank(A.entries)
+    assert len(rows) == len(cols) == rational_rank(A)
     if rows:
-        assert det(IntMatrix([[A.entries[i][j] for j in cols] for i in rows])) != 0
+        assert det([[A[i][j] for j in cols] for i in rows]) != 0
     # a row is skipped exactly when it depends on the rows tried before it
     for t, i in enumerate(order):
-        tried = [A.entries[j] for j in order[: t + 1]]
+        tried = [A[j] for j in order[: t + 1]]
         independent = rational_rank(tried) > rational_rank(tried[:-1]) if t else any(tried[0])
         assert (i in rows) == independent
 
 
-def test_matmul_and_shape():
-    A = IntMatrix([[1, 2], [3, 4]])
-    B = IntMatrix([[0, 1], [1, 0]])
-    assert (A @ B).entries == [[2, 1], [4, 3]]
-    with pytest.raises(ValueError):
-        IntMatrix([[1, 2], [3]])
+@pytest.mark.parametrize("bad", [[], [[]], [[1, 2], [3]], np.zeros((0, 2), dtype=np.int64)])
+def test_entry_check_rejects_an_empty_or_ragged_matrix(bad):
+    for f in (det, rank, nullspace_basis, smith_normal_form):
+        with pytest.raises(ValueError):
+            f(bad)
+
+
+@pytest.mark.parametrize("bad", [[[1, 2.0]], [[True]], np.eye(2), np.ones((1, 1), dtype=bool)])
+def test_entry_check_rejects_a_non_int_entry(bad):
+    for f in (det, rank, nullspace_basis, smith_normal_form):
+        with pytest.raises(TypeError, match="entries must be ints"):
+            f(bad)
+
+
+@given(int_matrices, st.lists(st.integers(-4, 4), min_size=6, max_size=6))
+@settings(max_examples=60)
+def test_int64_array_gives_what_its_rows_give(A, b):
+    # the array is read into Python ints, so every result equals the rows'
+    arr = np.array(A, dtype=np.int64)
+    assert smith_normal_form(arr) == smith_normal_form(A)
+    assert rank(arr) == rank(A)
+    assert nullspace_basis(arr) == nullspace_basis(A)
+    assert solve_diophantine(arr, b[: len(A[0])]) == solve_diophantine(A, b[: len(A[0])])
+    order = list(range(len(A)))
+    assert nonsingular_minor(arr, order) == nonsingular_minor(A, order)
+    square = arr[: min(arr.shape), : min(arr.shape)]
+    assert det(square) == det(square.tolist())
+    assert adjugate(square) == adjugate(square.tolist())

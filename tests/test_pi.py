@@ -34,7 +34,7 @@ from pireg.pi import (
     save_monomials,
     total_degree,
 )
-from pireg.intlinalg import IntMatrix, rank, solve_diophantine
+from pireg.intlinalg import rank, solve_diophantine
 from pireg.sims import double_pendulum_spec, rietkerk_spec
 from pireg.units import (
     BaseUnitSystem,
@@ -102,8 +102,7 @@ def test_basis_three_velocities_two_dimensional():
 
 def test_basis_count_law(pend_spec):
     for spec in (TWO_MASS, PLANCK, MKLP, pend_spec):
-        U = spec.units_matrix()
-        assert len(dimensionless_basis(spec)) == spec.d - rank(U)
+        assert len(dimensionless_basis(spec)) == spec.d - rank(spec.units_array)
 
 
 def test_pendulum_enumeration_counts(pend_spec):
@@ -225,7 +224,7 @@ def box_sweep_enumerate(spec, max_degree, dimensionless_only=False):
 
 def box_sweep_decoders(spec, target_units, max_degree):
     """The box sweep decoder_solutions ran before it called lattice_points."""
-    if solve_diophantine(spec.units_matrix(), target_units.exps) is None:
+    if solve_diophantine(spec.units_array, target_units.exps) is None:
         return []
     U = np.array([f.units.exps for f in spec.features], dtype=np.int64)
     target = np.array(target_units.exps, dtype=np.int64)
@@ -269,7 +268,7 @@ def test_pendulum_degree_four(pend_spec):
 def box_filter(spec, target, max_degree):
     """Independent reference: every point of the degree box, in product
     order, whose units equal target (all of them when target is None)."""
-    U = spec.units_matrix().entries
+    U = spec.units_array.tolist()
     out = []
     for alpha in itertools.product(*_box_ranges(spec, max_degree)):
         units = [sum(a * row[j] for a, row in zip(alpha, U)) for j in range(spec.k)]
@@ -604,6 +603,6 @@ def test_sample_dimensional_monomials_caps_its_draws():
 
 def test_lattice_membership_of_enumerated_dimensionless(pend_spec):
     basis = dimensionless_basis(pend_spec)
-    B = IntMatrix([list(b.exps) for b in basis])
+    B = [list(b.exps) for b in basis]
     for m in enumerate_monomials(pend_spec, 2, dimensionless_only=True)[::17]:
         assert solve_diophantine(B, list(m.exps)) is not None

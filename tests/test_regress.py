@@ -351,7 +351,9 @@ def test_ols_rejects_bad_shapes():
 
 
 def equilibrated(X):
-    norms = np.sqrt((X * X).sum(axis=0))
+    """fit_ols's column norms: each column's squares summed in row order at
+    any p (sum(axis=0) would sum a lone column pairwise)."""
+    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
     norms[norms == 0.0] = 1.0
     return norms
 
@@ -620,6 +622,26 @@ def test_lasso_rejects_a_negative_or_non_finite_lambda(lam):
     # a NaN lambda would leave every weight at zero, reported as converged
     with pytest.raises(ValueError, match="lambda must be a finite number >= 0"):
         fit_lasso(np.eye(3), np.ones(3), lam)
+
+
+def test_lasso_rejects_non_finite_input_as_ols_does():
+    # a NaN or +-inf design entry (or a column whose norm overflows) used to
+    # drop its column and a non-finite label to zero every weight, each fit
+    # reported as converged, and lasso_lambda_max to return NaN
+    rng = np.random.default_rng(4)
+    X, y = rng.normal(size=(20, 3)), rng.normal(size=20)
+    cases = []
+    for value in (np.nan, np.inf, -np.inf):
+        Xbad, ybad = X.copy(), y.copy()
+        Xbad[5, 1] = ybad[7] = value
+        cases += [(Xbad, y, "design column 1 "), (X, ybad, "label 7 ")]
+    huge = X.copy()
+    huge[:, 2] *= 1e160
+    cases.append((huge, y, "design column 2 "))
+    for X_, y_, message in cases:
+        for fit in (fit_ols, lambda X, y: fit_lasso(X, y, 0.1), lasso_lambda_max):
+            with pytest.raises(NonFinite, match=message):
+                fit(X_, y_)
 
 
 def test_lasso_intercept_without_constant_column():
@@ -1037,6 +1059,35 @@ def test_equivariance_overflow_names_the_same_copy_and_row_at_any_budget(monkeyp
             equivariance_residual(model, rows, seed=2)
         messages.append(str(err.value))
     assert messages == [expected] * 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_predictions_raise_non_finite():
+    # weights of 1e308 overflow the predictions of a springy degree-1 model;
+    # the equivariance check used to skip the NaN of inf - inf and read 0
+    data = small_dataset(50, seed=0)
+    features = enumerate_monomials(data.spec, 1, dimensionless_only=True)
+    decoder = parse_monomial("k_s L^2", data.spec)
+    fine = RegressionModel(data.spec, features, (1.0,) * len(features), decoder, JOULE)
+    huge = RegressionModel(data.spec, features, (1e308,) * len(features), decoder, JOULE)
+    message = "model 1's prediction at row 0 is not finite"
+    with pytest.raises(NonFinite, match=message):
+        prediction_errors([fine, huge], data)
+    with pytest.raises(NonFinite, match=f"^group copy 0: {message}"):
+        equivariance_residuals([fine, huge], data.rows)
+    with pytest.raises(NonFinite, match="model 0's prediction at row 0 "):
+        predict_rows(huge, data.rows)
+
+
+@pytest.mark.parametrize("n_group", [0, -5])
+def test_equivariance_residuals_need_a_group_element(n_group):
+    # with no group element a model without a decoder used to read 0
+    data = small_dataset(16, seed=11)
+    model = truth_model(data.spec)
+    direct = RegressionModel(data.spec, model.monomials, model.weights, None, JOULE)
+    assert equivariance_residual(direct, data.rows, n_group=1) > 0
+    with pytest.raises(ValueError, match=f"n_group must be >= 1, got {n_group}"):
+        equivariance_residual(direct, data.rows, n_group=n_group)
 
 
 def test_decoder_units_checked_at_construction():
