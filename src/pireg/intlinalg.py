@@ -4,10 +4,11 @@ lattices, and Diophantine solves.
 Every function takes a matrix as integer rows (nested sequences of ints,
 or a 2-D integer numpy array) and works on Python ints, so there is no
 overflow to guard against and no floating point anywhere.  The Smith
-decomposition is the workhorse: S * A * T = D with S, T unimodular and D
-diagonal with a divisibility chain d_1 | d_2 | ... .  Rank, the
+decomposition is the one elimination: S * A * T = D with S, T unimodular
+and D diagonal with a divisibility chain d_1 | d_2 | ... .  Rank, the
 left-nullspace lattice {alpha : alpha^T A = 0}, and particular solutions
-of alpha^T A = b^T all read off from it.
+of alpha^T A = b^T all read off from it, as does pi.lattice_points' exact
+solve for its pivot exponents.
 """
 
 from __future__ import annotations
@@ -29,65 +30,6 @@ def _rows(A) -> list[list[int]]:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise TypeError(f"entries must be ints, got {x!r}")
     return rows
-
-
-def det(A) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    m = _rows(A)
-    n = len(m)
-    if n != len(m[0]):
-        raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if m[t][t] == 0:
-            for i in range(t + 1, n):
-                if m[i][t] != 0:
-                    m[t], m[i] = m[i], m[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
-            m[i][t] = 0
-        prev = m[t][t]
-    return sign * m[n - 1][n - 1]
-
-
-def adjugate(A) -> list[list[int]]:
-    """Exact adjugate, adj(A) A = A adj(A) = det(A) I, from cofactors."""
-    m = _rows(A)
-    n = len(m)
-    if n != len(m[0]):
-        raise ValueError("adjugate of a non-square matrix")
-    if n == 1:
-        return [[1]]
-    return [
-        [(-1) ** (i + j) * det([row[:i] + row[i + 1:] for r, row in enumerate(m) if r != j])
-         for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def nonsingular_minor(A, row_order) -> tuple[list[int], list[int]]:
-    """Rows R and columns C of A with A[R, C] nonsingular and |R| = rank(A).
-
-    Rows are tried in row_order; one joins R when some unused column extends
-    the nonsingular minor, which happens exactly when the row is independent
-    of R, so R is the first basis of the row space in that order.
-    """
-    m = _rows(A)
-    rows: list[int] = []
-    cols: list[int] = []
-    for i in row_order:
-        for j in range(len(m[0])):
-            if j not in cols and det([[m[a][b] for b in cols + [j]] for a in rows + [i]]):
-                rows.append(i)
-                cols.append(j)
-                break
-    return rows, cols
 
 
 @dataclass(frozen=True)

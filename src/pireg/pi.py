@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .intlinalg import adjugate, det, nonsingular_minor, nullspace_basis
+from .intlinalg import nullspace_basis, rank, smith_normal_form
 from .units import (
     BaseUnitSystem,
     UnitMismatch,
@@ -407,14 +407,15 @@ def lattice_points(
     int64 array in lexicographic row order; target_units=None drops the
     unit constraint and returns the whole ball.
 
-    With a target, r = rank(U) pivot features, widest exponent range first,
-    and r base units give a nonsingular r x r minor M of U.  Only the box of
-    the d - r free exponents is swept: for each free point the pivots solve
-    alpha_P^T M = b^T, b the target less the free features' units, exactly
-    as b^T adj(M) / det(M), and are kept when they land in range and the
-    whole point carries the target units, which holds only where the
-    division is exact and the target lies in U's row space.  Raises
-    EnumerationTooLarge when the swept box's points times the swept
+    With a target, r = rank(U) pivot features P, the first basis of U's row
+    space taken widest exponent range first, are solved for and only the box
+    of the d - r free exponents is swept.  One Smith form S U_P T = D of the
+    pivots' unit rows gives W = T[:, :r] diag(L / d_j) S, L = lcm(d_j), with
+    U_P W = L I; for each free point the pivots are alpha_P = b W / L, b the
+    target less the free features' units.  A point is kept when its pivots
+    land in range and the whole point carries the target units, which holds
+    only where the division is exact and the target lies in U's row space.
+    Raises EnumerationTooLarge when the swept box's points times the swept
     coordinates exceed _MAX_ENTRIES, before any array is built.
     """
     if max_degree < 0:
@@ -423,8 +424,13 @@ def lattice_points(
         raise ValueError("target units live in a different base system")
     ranges = _exponent_ranges(spec, max_degree)
     U = spec.units_array.tolist()
-    rows, cols = ([], []) if target_units is None else nonsingular_minor(
-        U, sorted(range(spec.d), key=lambda i: (ranges[i].start - ranges[i].stop, i)))
+    rows: list[int] = []
+    if target_units is not None:
+        for i in sorted(range(spec.d), key=lambda i: (ranges[i].start - ranges[i].stop, i)):
+            if len(rows) == spec.k:
+                break
+            if rank([U[j] for j in rows + [i]]) > len(rows):
+                rows.append(i)
     free = [i for i in range(spec.d) if i not in rows]
     # stop - start, not len(), which raises past sys.maxsize: huge degrees reach the cap
     sizes = [ranges[i].stop - ranges[i].start for i in free]
@@ -439,16 +445,19 @@ def lattice_points(
     target = np.array(target_units.exps, dtype=np.int64)
     pivot = np.empty((count, len(rows)), dtype=np.int64)
     if rows:
-        M = [[U[i][j] for j in cols] for i in rows]
-        det_m, adj = det(M), adjugate(M)
+        snf = smith_normal_form([U[i] for i in rows])
+        diag = snf.diagonal()
+        lcm = math.lcm(*diag)
+        W = [[sum(t[j] * (lcm // d) * snf.S[j][c] for j, d in enumerate(diag))
+              for c in range(len(rows))] for t in snf.T]
         # |b| and |alpha^T U| stay below scale, and the solve multiplies b
-        # by at most r * max|adj(M)|, so int64 holds every intermediate
+        # by at most k * max|W|, so int64 holds every intermediate
         scale = max(map(abs, target_units.exps)) + sum(
             max(-r.start, r.stop - 1) * max(map(abs, row)) for r, row in zip(ranges, U))
-        if scale * len(rows) * max(abs(a) for row in adj for a in row) >= 2**63:
+        if scale * spec.k * max(abs(w) for row in W for w in row) >= 2**63:
             raise ValueError("unit exponents too large for the int64 lattice solve")
         # an inexact division floors to a pivot that fails the unit check
-        pivot = (target[cols] - grid @ Ua[np.ix_(free, cols)]) @ np.array(adj) // det_m
+        pivot = (target - grid @ Ua[free]) @ np.array(W, dtype=np.int64) // lcm
         lo, hi = zip(*((ranges[i].start, ranges[i].stop - 1) for i in rows))
         keep = np.all((pivot >= lo) & (pivot <= hi), axis=1)
         grid, pivot = grid[keep], pivot[keep]

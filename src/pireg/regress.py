@@ -518,11 +518,14 @@ class RegressionModel:
 def _label_unit_columns(data: Dataset, monomials: Sequence[Monomial], what: str) -> np.ndarray:
     """(N, m) values on data's rows of monomials that must carry its label
     units: pi.require_units' UnitMismatch, naming the label and `what`, or
-    ZeroScale where one evaluates to zero."""
+    ZeroScale, naming the monomial and the row, where one evaluates to zero."""
     require_units(monomials, data.spec, data.label_units, f"the label and {what}")
     values = build_design_matrix(data.rows, monomials)
-    if np.any(values == 0.0):
-        raise ZeroScale(f"{what} evaluated to zero on a row")
+    zero = values == 0.0
+    if zero.any():
+        t, j = np.argwhere(zero)[0]
+        raise ZeroScale(f"{what} {pi.format_monomial(monomials[j], data.spec)!r} "
+                        f"evaluated to zero at row {t}")
     return values
 
 
@@ -552,10 +555,12 @@ def _predict_blocks(
     decoders = [m.decoder for m in models if m.decoder is not None]
     dcols = iter(build_design_matrix(rows, decoders).T if decoders else ())
     preds = np.empty((len(models), len(rows)))
-    for model, out in zip(models, preds):
-        out[:] = (X @ np.asarray(model.weights, dtype=float)).ravel() + model.intercept
-        if model.decoder is not None:
-            out *= next(dcols)
+    # an overflow is reported once, as NonFinite below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for model, out in zip(models, preds):
+            out[:] = (X @ np.asarray(model.weights, dtype=float)).ravel() + model.intercept
+            if model.decoder is not None:
+                out *= next(dcols)
     if not np.isfinite(preds).all():
         i, row = np.argwhere(~np.isfinite(preds))[0]
         raise NonFinite(f"model {i}'s prediction at row {row} is not finite")

@@ -79,6 +79,11 @@ def test_units_check_malformed_spec_is_spec_error(tmp_path, capsys):
     assert "bad.json: malformed spec file: 'base_units'" in capsys.readouterr().err
     path.write_text(json.dumps({"base_units": ["kg"], "features": [{"name": "x", "units": "m"}]}))
     assert main(["units-check", str(path)]) == 2  # a unit outside the system
+    # an exponent past 2^31 - 1, the largest a UnitVector takes
+    path.write_text(json.dumps({"base_units": ["kg"],
+                                "features": [{"name": "x", "units": "kg^2147483648"}]}))
+    assert main(["units-check", str(path)]) == 2
+    assert "unit exponent out of range: 2147483648" in capsys.readouterr().err
 
 
 # a spec file that is not JSON, or not an object, is a data error naming the file
@@ -236,6 +241,34 @@ def test_regress_decoder_errors(pendulum_csvs, capsys):
             in capsys.readouterr().err)
     assert main(args + ["--decoder", "index:999"]) == 3
     assert main(args + ["--decoder", "bogus"]) == 3
+
+
+def zero_cell_csv(path, out, column, row=3):
+    """The dataset CSV at path written to out with one cell set to 0.0."""
+    spec, _ = load_spec_file(SPECS / "springy.json")
+    data = regress.load_dataset_csv(path, spec)
+    rows = data.rows.copy()
+    rows[row, spec.index(column)] = 0.0
+    regress.save_dataset_csv(regress.Dataset(spec, rows, data.label_values, data.label_units), out)
+    return str(out)
+
+
+def test_regress_zero_decoder_or_loss_scale_exits_3(pendulum_csvs, tmp_path, capsys):
+    train = zero_cell_csv(pendulum_csvs["train"], tmp_path / "train.csv", "g.q")
+    args = ["regress", train, "--spec", pendulum_csvs["spec"], "--features", "basis"]
+    assert main(args + ["--decoder", "expr:m g.q"]) == 3
+    assert "error: decoder 'm g.q' evaluated to zero at row 3" in capsys.readouterr().err
+    assert main(args + ["--loss-scale", "m g.q"]) == 3
+    assert "error: loss scale 'm g.q' evaluated to zero at row 3" in capsys.readouterr().err
+
+
+def test_regress_pole_in_a_test_row_exits_3(pendulum_csvs, tmp_path, capsys):
+    # m, feature 0, at zero: a test row whose features take m to a negative power
+    test = zero_cell_csv(pendulum_csvs["test"], tmp_path / "test.csv", "m")
+    assert main(["regress", pendulum_csvs["train"], "--spec", pendulum_csvs["spec"],
+                 "--test", test, "--features", "enumerate:1",
+                 "--report", str(tmp_path / "report.json")]) == 3
+    assert "negative power of a zero value at feature 0" in capsys.readouterr().err
 
 
 def test_regress_decoder_expr_skips_the_decoder_search(tmp_path, capsys):
@@ -702,6 +735,13 @@ def test_config_value_failing_its_flag_exits_2(pendulum_csvs, tmp_path, capsys, 
     flag, value = next(iter(section.items()))
     assert exit_code(argv + [f"--{flag}", value]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_config_store_true_flag_takes_only_a_boolean(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"enumerate": {"dimensionless-only": "yes"}}))
+    assert exit_code(["--config", str(cfg), "enumerate", str(SPECS / "springy.json")]) == 2
+    assert "argument --dimensionless-only: expected true or false, got 'yes'" in capsys.readouterr().err
 
 
 def test_regress_report_config_resolved(pendulum_csvs, tmp_path, capsys):

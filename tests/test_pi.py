@@ -279,7 +279,7 @@ def box_filter(spec, target, max_degree):
 
 @given(
     st.integers(1, 5),
-    st.integers(1, 3),
+    st.integers(1, 4),
     st.integers(0, 3),
     st.sampled_from(["none", "zero", "feasible", "random"]),
     st.booleans(),

@@ -1061,7 +1061,7 @@ def test_equivariance_overflow_names_the_same_copy_and_row_at_any_budget(monkeyp
     assert messages == [expected] * 3
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_predictions_raise_non_finite():
     # weights of 1e308 overflow the predictions of a springy degree-1 model;
     # the equivariance check used to skip the NaN of inf - inf and read 0
@@ -1077,6 +1077,44 @@ def test_overflowing_predictions_raise_non_finite():
         equivariance_residuals([fine, huge], data.rows)
     with pytest.raises(NonFinite, match="model 0's prediction at row 0 "):
         predict_rows(huge, data.rows)
+
+
+def test_zero_decoder_or_loss_scale_names_the_monomial_and_row():
+    data = small_dataset(20, seed=0)
+    rows = data.rows.copy()
+    rows[[5, 7], data.spec.index("g.q")] = 0.0
+    data = Dataset(data.spec, rows, data.label_values, data.label_units)
+    features = enumerate_monomials(data.spec, 1, dimensionless_only=True)
+    zero, decoder = parse_monomial("m g.q", data.spec), parse_monomial("k_s L^2", data.spec)
+    with pytest.raises(regress.ZeroScale, match=r"^decoder 'm g\.q' evaluated to zero at row 5$"):
+        fit_monomial_models(data, features, [decoder, zero])
+    with pytest.raises(regress.ZeroScale, match=r"^loss scale 'm g\.q' evaluated to zero at row 5$"):
+        fit_monomial_model(data, features, decoder, loss_scale=zero)
+    model = truth_model(data.spec)
+    with pytest.raises(regress.ZeroScale, match=r"^loss scale 'm g\.q' evaluated to zero at row 5$"):
+        dimensionless_mse(model, data, zero)
+
+
+def test_pole_at_zero_reaches_every_prediction():
+    # m, feature 0, at zero on row 4: the degree-1 features take it to a
+    # negative power, and every prediction path reports the feature that
+    # build_design_matrix does
+    data = small_dataset(20, seed=0)
+    rows = data.rows.copy()
+    rows[4, 0] = 0.0
+    data = Dataset(data.spec, rows, data.label_values, data.label_units)
+    features = enumerate_monomials(data.spec, 1, dimensionless_only=True)
+    model = RegressionModel(data.spec, features, (1.0,) * len(features),
+                            parse_monomial("k_s L^2", data.spec), JOULE)
+    with pytest.raises(PoleAtZero) as err:
+        build_design_matrix(rows, features)
+    assert err.value.feature_index == 0
+    for predict_all in (lambda: predict_rows(model, rows),
+                        lambda: prediction_errors([model], data),
+                        lambda: equivariance_residuals([model], rows)):
+        with pytest.raises(PoleAtZero) as err:
+            predict_all()
+        assert err.value.feature_index == 0
 
 
 @pytest.mark.parametrize("n_group", [0, -5])
