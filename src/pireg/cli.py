@@ -246,9 +246,8 @@ def run_springy(seed: int, scale: str, out_dir, lam: float = 1e-2) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     data = sims.sample_pendulum_dataset(n_train + n_test, seed)
     spec = data.spec
-    train = regress.Dataset(spec, data.rows[:n_train], data.label_values[:n_train], data.label_units)
-    test = regress.Dataset(spec, data.rows[n_train:], data.label_values[n_train:], data.label_units)
-    small = regress.Dataset(spec, train.rows[:n_lasso], train.label_values[:n_lasso], data.label_units)
+    train, test = data[:n_train], data[n_train:]
+    small = train[:n_lasso]
 
     features = pi.enumerate_monomials(spec, 2, dimensionless_only=True)
     decoder = pi.parse_monomial("k_s L^2", spec)
@@ -319,8 +318,7 @@ def run_blackbody(seed: int, scale: str, out_dir) -> dict:
     data = sims.blackbody_dataset(n, seed)
     spec = data.spec
     n_train = int(0.8 * n)
-    train = regress.Dataset(spec, data.rows[:n_train], data.label_values[:n_train], data.label_units)
-    test = regress.Dataset(spec, data.rows[n_train:], data.label_values[n_train:], data.label_units)
+    train, test = data[:n_train], data[n_train:]
 
     basis = pi.dimensionless_basis(spec)
     decoders = pi.decoder_solutions(spec, data.label_units, 4)
@@ -421,10 +419,8 @@ def cmd_experiment(args, config) -> int:
         results = run_springy(args.seed, args.scale, out_dir, lam=args.lam)
     elif args.name == "blackbody":
         results = run_blackbody(args.seed, args.scale, out_dir)
-    elif args.name == "rietkerk":
+    else:  # argparse's choices admit no other name
         results = run_rietkerk(args.seed, args.scale, out_dir)
-    else:
-        raise DataError(f"unknown experiment {args.name!r}")
     # report files stay byte-reproducible, so wall time goes to stdout only
     write_report(Path(out_dir) / "report.json", f"experiment {args.name}", config, results)
     print(json.dumps(results, indent=1, default=float))

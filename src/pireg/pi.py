@@ -44,10 +44,13 @@ class DataError(ValueError):
 
 
 class PoleAtZero(ArithmeticError):
-    def __init__(self, feature_index, name=None):
-        label = f"feature {feature_index}" if name is None else f"feature {name!r}"
-        super().__init__(f"negative power of a zero value at {label}")
+    def __init__(self, feature_index, row):
+        super().__init__(f"negative power of a zero value at feature {feature_index}, row {row}")
         self.feature_index = feature_index
+        self.row = row
+
+    def __reduce__(self):
+        return type(self), (self.feature_index, self.row)
 
 
 class NonFinite(ArithmeticError):
@@ -333,9 +336,10 @@ def build_design_matrix(rows, monomials: MonomialSet | Sequence[Monomial]) -> np
     monomials, and a one-row call equals a row of a batch bit for bit.
 
     The first failing monomial raises PoleAtZero (at its first feature with
-    a negative exponent and a zero value) or else NonFinite (at its first
-    non-finite row).  ValueError unless rows is 2-D and every exps has d
-    entries.  A sequence of Monomial is stacked by as_monomial_set first.
+    a negative exponent and a zero value, and that feature's first zero row)
+    or else NonFinite (at its first non-finite row).  ValueError unless rows
+    is 2-D and every exps has d entries.  A sequence of Monomial is stacked
+    by as_monomial_set first.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
@@ -362,7 +366,8 @@ def build_design_matrix(rows, monomials: MonomialSet | Sequence[Monomial]) -> np
     if failed.any():
         j = int(np.argmax(failed))
         if pole[j].any():
-            raise PoleAtZero(int(np.argmax(pole[j])))
+            i = int(np.argmax(pole[j]))
+            raise PoleAtZero(i, int(np.argmax(rows[:, i] == 0.0)))
         raise NonFinite(
             f"monomial evaluation overflowed at row {int(np.argmax(bad[:, j]))}: "
             f"exps={monomials[j].exps}"

@@ -145,6 +145,10 @@ class Dataset:
     def n(self) -> int:
         return self.rows.shape[0]
 
+    def __getitem__(self, rows: slice) -> Dataset:
+        """The rows in the slice and their labels."""
+        return Dataset(self.spec, self.rows[rows], self.label_values[rows], self.label_units)
+
     def rescaled(self, g: GroupElement) -> Dataset:
         """The same data in the unit system g moves to: each feature column
         and the labels times their units' scale_factor."""

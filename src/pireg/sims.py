@@ -5,7 +5,7 @@ PDE, the black-body feature set, and double-pendulum unit checklists.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from itertools import combinations, product
 
 import numpy as np
@@ -127,27 +127,7 @@ def sample_pendulum_dataset(n: int, seed: int) -> Dataset:
 
 RIETKERK_SYSTEM = BaseUnitSystem(("l", "g", "d", "m"))
 
-_RIETKERK_FIELDS = [
-    # (name, unit expression); the defaults are RietkerkParams'
-    ("R", "l d^-1 m^-2"),
-    ("alpha", "d^-1"),
-    ("k2", "g m^-2"),
-    ("W0", "1"),
-    ("D_u", "m^2 d^-1"),
-    ("g_m", "l g^-1 d^-1"),
-    ("k1", "l m^-2"),
-    ("delta_w", "d^-1"),
-    ("D_w", "m^2 d^-1"),
-    ("c", "g l^-1"),
-    ("delta_v", "d^-1"),
-    ("D_v", "m^2 d^-1"),
-    ("T", "d"),
-    ("dt", "d"),
-    ("L", "m"),
-    ("dl", "m"),
-]
-
-# the first 12 vary between runs; T, dt, L, dl are integration parameters
+# RietkerkParams' first 12 fields vary between runs; T, dt, L, dl do not
 _N_PHYSICAL = 12
 
 VEGETATION_UNITS = parse_unit("g m^-2", RIETKERK_SYSTEM)
@@ -156,41 +136,44 @@ VEGETATION_UNITS = parse_unit("g m^-2", RIETKERK_SYSTEM)
 EXTINCTION_THRESHOLD = 1e-3
 
 
+def _param(default: float, units: str):
+    """A RietkerkParams field with its default and its unit expression."""
+    return field(default=default, metadata={"units": units})
+
+
 @dataclass(frozen=True)
 class RietkerkParams:
-    """All 16 model and integration parameters, in the units of
-    rietkerk_spec(): surface water u and soil water w in l m^-2, plant
-    biomass v in g m^-2, time in days, space in meters."""
+    """All 16 model and integration parameters with their defaults and units:
+    water u and w in l m^-2, plant biomass v in g m^-2, time in days, space
+    in meters.  dl is the integrator's grid spacing, L = n dl the extent."""
 
-    R: float = 0.375
-    alpha: float = 0.2
-    k2: float = 5.0
-    W0: float = 0.1
-    D_u: float = 100.0
-    g_m: float = 0.05
-    k1: float = 5.0
-    delta_w: float = 0.2
-    D_w: float = 0.1
-    c: float = 20.0
-    delta_v: float = 0.25
-    D_v: float = 0.1
-    T: float = 200.0
-    dt: float = 0.005
-    L: float = 200.0
-    dl: float = 2.0
+    R: float = _param(0.375, "l d^-1 m^-2")
+    alpha: float = _param(0.2, "d^-1")
+    k2: float = _param(5.0, "g m^-2")
+    W0: float = _param(0.1, "1")
+    D_u: float = _param(100.0, "m^2 d^-1")
+    g_m: float = _param(0.05, "l g^-1 d^-1")
+    k1: float = _param(5.0, "l m^-2")
+    delta_w: float = _param(0.2, "d^-1")
+    D_w: float = _param(0.1, "m^2 d^-1")
+    c: float = _param(20.0, "g l^-1")
+    delta_v: float = _param(0.25, "d^-1")
+    D_v: float = _param(0.1, "m^2 d^-1")
+    T: float = _param(200.0, "d")
+    dt: float = _param(0.005, "d")
+    L: float = _param(200.0, "m")
+    dl: float = _param(2.0, "m")
 
     def feature_row(self) -> list[float]:
-        return [getattr(self, name) for name, _ in _RIETKERK_FIELDS]
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 def rietkerk_spec() -> FeatureSpec:
-    """16 features over base units (l, g, d, m): liters of water, grams of
-    biomass, days, meters.  d=16, k=4, rank 4, so the dimensionless lattice
-    has 12 dimensions."""
-    feats = tuple(
-        FeatureDef(name, parse_unit(expr, RIETKERK_SYSTEM))
-        for name, expr in _RIETKERK_FIELDS
-    )
+    """RietkerkParams' 16 fields as features over base units (l, g, d, m):
+    liters of water, grams of biomass, days, meters.  d=16, k=4, rank 4, so
+    the dimensionless lattice has 12 dimensions."""
+    feats = tuple(FeatureDef(f.name, parse_unit(f.metadata["units"], RIETKERK_SYSTEM))
+                  for f in fields(RietkerkParams))
     return FeatureSpec(feats, RIETKERK_SYSTEM)
 
 
@@ -219,13 +202,11 @@ def rietkerk_table_features() -> MonomialSet:
 
 @dataclass
 class RietkerkState:
-    """Field state on an n x n periodic grid with spacing dl, at time t."""
+    """u, w and v on a periodic grid, whose spacing is the run's params.dl."""
 
     u: np.ndarray
     w: np.ndarray
     v: np.ndarray
-    dl: float
-    t: float = 0.0
 
 
 @dataclass
@@ -242,7 +223,7 @@ class RietkerkRun:
         return self.extinction_step is not None
 
 
-def random_rietkerk_state(n_cells: int, dl: float, rng) -> RietkerkState:
+def random_rietkerk_state(n_cells: int, rng) -> RietkerkState:
     """u and w uniform on (0, 5) per cell; vegetation seeded at Unif(0, 50)
     on a random 10% of cells, zero elsewhere."""
     u = rng.uniform(0.0, 5.0, (n_cells, n_cells))
@@ -251,7 +232,7 @@ def random_rietkerk_state(n_cells: int, dl: float, rng) -> RietkerkState:
     n_seed = max(1, int(round(0.1 * n_cells * n_cells)))
     idx = rng.choice(n_cells * n_cells, size=n_seed, replace=False)
     v.flat[idx] = rng.uniform(0.0, 50.0, n_seed)
-    return RietkerkState(u, w, v, dl)
+    return RietkerkState(u, w, v)
 
 
 def _copy(dst: np.ndarray, src: np.ndarray) -> tuple:
@@ -309,29 +290,24 @@ class _EulerBatch:
     a step at B = 1 to 8 (the same grid and host).  `flat`, `vegetation`
     and `sums` serve integrate_rietkerk_batch's checks after each step."""
 
-    def __init__(self, params: list[RietkerkParams], fields: np.ndarray,
+    def __init__(self, params: list[RietkerkParams], stack: np.ndarray,
                  dt: float, inv_dl2: float):
-        def field(values, shape=fields.shape[1:]):
+        def per_run(values, shape=stack.shape[1:]):
             column = np.array(values, dtype=float)[..., None, None]
             out = np.ascontiguousarray(np.broadcast_to(column, shape))
             out.flags.writeable = False
             return out
 
-        x = self.fields = np.ascontiguousarray(fields)
+        x = self.fields = np.ascontiguousarray(stack)
         self.flat = x.reshape(-1)
         self.vegetation = x[2].reshape(x.shape[1], -1)
         self.sums = np.empty(x.shape[1])
-        R = field([p.R for p in params])
-        alpha = field([p.alpha for p in params])
-        k2 = field([p.k2 for p in params])
-        k2_W0 = field([p.k2 * p.W0 for p in params])
-        g_m = field([p.g_m for p in params])
-        k1 = field([p.k1 for p in params])
-        delta_w = field([p.delta_w for p in params])
-        c = field([p.c for p in params])
-        delta_v = field([p.delta_v for p in params])
-        D = field([[p.D_u for p in params], [p.D_w for p in params],
-                   [p.D_v for p in params]], x.shape)
+        R, alpha, k2, g_m, k1, delta_w, c, delta_v = (
+            per_run([getattr(p, name) for p in params])
+            for name in ("R", "alpha", "k2", "g_m", "k1", "delta_w", "c", "delta_v"))
+        k2_W0 = per_run([p.k2 * p.W0 for p in params])
+        D = per_run([[p.D_u for p in params], [p.D_w for p in params],
+                     [p.D_v for p in params]], x.shape)
         lap, rate = np.empty(x.shape), np.empty(x.shape)
         infil, uptake, tmp = (np.empty(x.shape[1:]) for _ in range(3))
         u, w, v = x
@@ -383,14 +359,14 @@ class _EulerBatch:
             call(*operands)
 
 
-def _diffusion_number(p: RietkerkParams, dl: float) -> float:
+def _diffusion_number(p: RietkerkParams) -> float:
     """max(D_u, D_w, D_v) dt / dl^2, at most 1/4 for a stable Euler step."""
-    return max(p.D_u, p.D_w, p.D_v) * p.dt * (1.0 / (dl * dl))
+    return max(p.D_u, p.D_w, p.D_v) * p.dt * (1.0 / (p.dl * p.dl))
 
 
-def _finished_run(fields, slot, dl, steps, dt, extinction_step) -> RietkerkRun:
-    u, w, v = (f.copy() for f in fields[:, slot])
-    return RietkerkRun(RietkerkState(u, w, v, dl, steps * dt), steps, extinction_step)
+def _finished_run(stack, slot, steps, extinction_step) -> RietkerkRun:
+    u, w, v = (f.copy() for f in stack[:, slot])
+    return RietkerkRun(RietkerkState(u, w, v), steps, extinction_step)
 
 
 def integrate_rietkerk_batch(
@@ -399,10 +375,10 @@ def integrate_rietkerk_batch(
     """Integrate runs i = 0..B-1, params[i] from inits[i], together; each
     result is bit-identical to integrating that run alone.
 
-    Explicit Euler with a 5-point periodic Laplacian, T/dt steps.  The runs
-    must share dt, T, the grid spacing and the grid shape (ValueError
-    otherwise); the grid is taken from the states, so params.L and params.dl
-    are not read.  Before the first step every run must satisfy
+    Explicit Euler with a 5-point periodic Laplacian, T/dt steps.  dt, T
+    and the grid spacing dl are read from the parameters, and the grid shape
+    from the states (params.L is not read); the runs must share all four
+    (ValueError otherwise).  Before the first step every run must satisfy
     max(D_u, D_w, D_v) dt / dl^2 <= 1/4; EulerUnstable names the first run
     that does not.  Extinction (mean vegetation below EXTINCTION_THRESHOLD)
     is a labeled outcome, not an error, and it ends the run: an extinct run
@@ -415,20 +391,19 @@ def integrate_rietkerk_batch(
     if not params or len(params) != len(inits):
         raise ValueError(f"need one initial state per run, got {len(params)} "
                          f"parameter sets and {len(inits)} states")
-    dt, T, dl, shape = params[0].dt, params[0].T, inits[0].dl, inits[0].u.shape
+    dt, T, dl, shape = params[0].dt, params[0].T, params[0].dl, inits[0].u.shape
     inv_dl2 = 1.0 / (dl * dl)
     for run, (p, s) in enumerate(zip(params, inits)):
-        if p.dt != dt or p.T != T:
-            raise ValueError("runs in one batch must share dt and T")
-        if s.dl != dl or not (s.u.shape == s.w.shape == s.v.shape == shape):
-            raise ValueError("runs in one batch must share the grid spacing and shape")
-        diffusion_number = _diffusion_number(p, dl)
+        if (p.dt, p.T, p.dl) != (dt, T, dl):
+            raise ValueError("runs in one batch must share dt, T and dl")
+        if not (s.u.shape == s.w.shape == s.v.shape == shape):
+            raise ValueError("runs in one batch must share the grid shape")
+        diffusion_number = _diffusion_number(p)
         if not diffusion_number <= 0.25:
             raise EulerUnstable(run, diffusion_number)
     n_steps = int(round(T / dt))
-    fields = np.array([[s.u for s in inits], [s.w for s in inits], [s.v for s in inits]],
-                      dtype=float)
-    batch = _EulerBatch(params, fields, dt, inv_dl2)
+    stack = np.array([[s.u for s in inits], [s.w for s in inits], [s.v for s in inits]], float)
+    batch = _EulerBatch(params, stack, dt, inv_dl2)
     cells = shape[0] * shape[1]
     live = list(range(len(params)))  # batch slot -> run index, ascending
     runs: list[RietkerkRun | None] = [None] * len(params)
@@ -449,7 +424,7 @@ def integrate_rietkerk_batch(
         sums = add(batch.vegetation, 1, None, batch.sums).tolist()
         extinct = [slot for slot in range(first) if sums[slot] / cells < EXTINCTION_THRESHOLD]
         for slot in extinct:
-            runs[live[slot]] = _finished_run(x, slot, dl, step + 1, dt, step)
+            runs[live[slot]] = _finished_run(x, slot, step + 1, step)
         if first < len(live) or extinct:
             keep = [i for i in range(first) if i not in extinct]
             live = [live[i] for i in keep]
@@ -459,13 +434,14 @@ def integrate_rietkerk_batch(
     if blowup is not None:
         raise NumericalBlowup(blowup[1], run=blowup[0])
     for slot, run in enumerate(live):
-        runs[run] = _finished_run(batch.fields, slot, dl, n_steps, dt, None)
+        runs[run] = _finished_run(batch.fields, slot, n_steps, None)
     return runs
 
 
 @dataclass(frozen=True)
 class GridScale:
-    """Grid extent and horizon; cell size and time step stay at the defaults."""
+    """Cells per side and horizon T of rietkerk_experiment's grid; dt and the
+    grid spacing dl stay at their RietkerkParams defaults."""
 
     n_cells: int = 100
     total_time: float = 200.0
@@ -483,19 +459,11 @@ def _rietkerk_draw(seed: int, run_idx: int, scale: GridScale):
     """Parameters and initial state of draw run_idx of experiment `seed`."""
     rng = np.random.default_rng((seed, run_idx))
     factors = rng.uniform(0.5, 1.5, _N_PHYSICAL)
-    defaults = RietkerkParams()
-    values = {
-        name: getattr(defaults, name) * factors[i]
-        for i, (name, _) in enumerate(_RIETKERK_FIELDS[:_N_PHYSICAL])
-    }
-    params = RietkerkParams(
-        **values,
-        T=scale.total_time,
-        dt=defaults.dt,
-        L=scale.n_cells * defaults.dl,
-        dl=defaults.dl,
-    )
-    return params, random_rietkerk_state(scale.n_cells, params.dl, rng)
+    physical = {f.name: f.default * factor
+                for f, factor in zip(fields(RietkerkParams)[:_N_PHYSICAL], factors)}
+    params = RietkerkParams(**physical, T=scale.total_time,
+                            L=scale.n_cells * RietkerkParams.dl)
+    return params, random_rietkerk_state(scale.n_cells, rng)
 
 
 # Most draws one chunk of rietkerk_experiment integrates together.  Median
@@ -619,7 +587,6 @@ def rietkerk_experiment(
     from concurrent.futures import FIRST_COMPLETED, wait
 
     want = n_train + n_test
-    spec = rietkerk_spec()
     workers, pool = _worker_pool()
     params = []  # of the draws dispatched so far, in draw order
     running = {}  # future -> first draw of its chunk
@@ -652,7 +619,7 @@ def rietkerk_experiment(
                 start = len(params)
                 for i in range(start, start + size):
                     p = _rietkerk_draw(seed, i, scale)[0]
-                    number = _diffusion_number(p, p.dl)
+                    number = _diffusion_number(p)
                     if not number <= 0.25:
                         unstable = EulerUnstable(i, number)
                         break
@@ -677,10 +644,7 @@ def rietkerk_experiment(
         raise InsufficientSurvivors(
             f"{len(rows)} surviving runs from {n_runs} integrations, need {want}"
         )
-    rows = np.array(rows)
-    labels = np.array(labels)
-    train = Dataset(spec, rows[:n_train], labels[:n_train], VEGETATION_UNITS)
-    test = Dataset(spec, rows[n_train:want], labels[n_train:want], VEGETATION_UNITS)
+    data = Dataset(rietkerk_spec(), np.array(rows), np.array(labels), VEGETATION_UNITS)
     meta = {
         "seed": seed,
         "n_runs": n_runs,
@@ -688,7 +652,7 @@ def rietkerk_experiment(
         "n_cells": scale.n_cells,
         "total_time": scale.total_time,
     }
-    return RietkerkExperiment(train, test, meta)
+    return RietkerkExperiment(data[:n_train], data[n_train:want], meta)
 
 
 # ---------------------------------------------------------------------------

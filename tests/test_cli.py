@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pireg import pi, regress, sims
+from pireg import cli, pi, regress, sims
 from pireg.cli import load_spec_file, main, parse_args, run_rietkerk, run_springy
 from pireg.pi import FeatureDef, FeatureSpec
 from pireg.units import Quantity, parse_unit, si_system
@@ -268,7 +268,7 @@ def test_regress_pole_in_a_test_row_exits_3(pendulum_csvs, tmp_path, capsys):
     assert main(["regress", pendulum_csvs["train"], "--spec", pendulum_csvs["spec"],
                  "--test", test, "--features", "enumerate:1",
                  "--report", str(tmp_path / "report.json")]) == 3
-    assert "negative power of a zero value at feature 0" in capsys.readouterr().err
+    assert "error: negative power of a zero value at feature 0, row 3" in capsys.readouterr().err
 
 
 def test_regress_decoder_expr_skips_the_decoder_search(tmp_path, capsys):
@@ -599,6 +599,25 @@ def test_experiment_blackbody_report_and_determinism(tmp_path, capsys):
     assert main(argv) == 0
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob, name
+
+
+def test_experiment_rietkerk_route(tmp_path, monkeypatch, capsys):
+    # a stub in place of run_rietkerk: the route passes the seed, scale and
+    # output directory, and the report is written, with nothing integrated
+    calls = []
+
+    def stub(seed, scale, out_dir):
+        calls.append((seed, scale, out_dir))
+        return {"metadata": {"seed": seed}}
+
+    monkeypatch.setattr(cli, "run_rietkerk", stub)
+    out = tmp_path / "rietkerk"
+    argv = ["experiment", "rietkerk", "--scale", "paper", "--seed", "7", "--out", str(out)]
+    assert main(argv) == 0
+    assert calls == [(7, "paper", str(out))]
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["command"] == "experiment rietkerk"
+    assert payload["results"] == {"metadata": {"seed": 7}}
 
 
 def test_experiment_springy_desk(tmp_path, capsys):

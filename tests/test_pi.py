@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -359,8 +360,13 @@ def test_evaluate_pole_at_zero():
     m = parse_monomial("|p|^-1", MKLP)
     with pytest.raises(PoleAtZero):
         build_design_matrix([[1.0, 1.0, 1.0, 0.0]], [m])
-    with pytest.raises(PoleAtZero):
+    with pytest.raises(PoleAtZero) as err:
         build_design_matrix(np.array([[1.0, 1, 1, 2], [1.0, 1, 1, 0]]), [m])
+    assert (err.value.feature_index, err.value.row) == (3, 1)
+    # the error can cross the process boundary of a forked worker
+    back = pickle.loads(pickle.dumps(err.value))
+    assert str(back) == str(err.value) == "negative power of a zero value at feature 3, row 1"
+    assert (back.feature_index, back.row) == (3, 1)
 
 
 def test_evaluate_overflow_is_loud():

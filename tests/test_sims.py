@@ -157,12 +157,11 @@ def test_sampler_labels_match_independent_hamiltonian():
 # --- Rietkerk integrator ----------------------------------------------------
 
 
-def uniform_state(n, u=2.0, w=1.5, v=0.0, dl=2.0):
+def uniform_state(n, u=2.0, w=1.5, v=0.0):
     return RietkerkState(
         np.full((n, n), float(u)),
         np.full((n, n), float(w)),
         np.full((n, n), float(v)),
-        dl,
     )
 
 
@@ -170,7 +169,7 @@ def euler_steps(params, init, n_steps):
     """(u, w, v) of one run after n_steps Euler steps of _EulerBatch, driven
     directly: integrate_rietkerk_batch ends a plant-free run after a step."""
     fields = np.array([[init.u], [init.w], [init.v]], dtype=float)
-    batch = sims._EulerBatch([params], fields, params.dt, 1.0 / (init.dl * init.dl))
+    batch = sims._EulerBatch([params], fields, params.dt, 1.0 / (params.dl * params.dl))
     for _ in range(n_steps):
         batch.step()
     return batch.fields[:, 0]
@@ -181,7 +180,7 @@ def test_rietkerk_zero_vegetation_is_absorbing():
     rng = np.random.default_rng(0)
     init = RietkerkState(
         rng.uniform(0.5, 5.0, (8, 8)), rng.uniform(0.5, 5.0, (8, 8)),
-        np.zeros((8, 8)), dl=2.0,
+        np.zeros((8, 8)),
     )
     u, w, v = euler_steps(params, init, 200)
     assert np.all(v == 0.0)
@@ -230,7 +229,7 @@ def test_rietkerk_single_step_uniform_grid():
     run = integrate_rietkerk_batch([params], [init])[0]
     assert run.steps == 1
     u1, w1, v1 = euler_step_oracle(
-        params, init.u.copy(), init.w.copy(), init.v.copy(), init.dl
+        params, init.u.copy(), init.w.copy(), init.v.copy(), params.dl
     )
     assert np.allclose(run.state.u, u1, rtol=1e-12)
     assert np.allclose(run.state.w, w1, rtol=1e-12)
@@ -243,11 +242,11 @@ def test_rietkerk_single_step_random_grid():
     rng = np.random.default_rng(4)
     init = RietkerkState(
         rng.uniform(0.5, 5.0, (5, 5)), rng.uniform(0.5, 5.0, (5, 5)),
-        rng.uniform(0.0, 10.0, (5, 5)), dl=2.0,
+        rng.uniform(0.0, 10.0, (5, 5)),
     )
     run = integrate_rietkerk_batch([params], [init])[0]
     u1, w1, v1 = euler_step_oracle(
-        params, init.u.copy(), init.w.copy(), init.v.copy(), init.dl
+        params, init.u.copy(), init.w.copy(), init.v.copy(), params.dl
     )
     assert np.allclose(run.state.u, u1, rtol=1e-12)
     assert np.allclose(run.state.w, w1, rtol=1e-12)
@@ -256,7 +255,7 @@ def test_rietkerk_single_step_random_grid():
 
 def test_rietkerk_fields_stay_nonnegative():
     params = RietkerkParams(T=5.0)
-    init = random_rietkerk_state(16, params.dl, np.random.default_rng(2))
+    init = random_rietkerk_state(16, np.random.default_rng(2))
     run = integrate_rietkerk_batch([params], [init])[0]
     assert run.steps == 1000
     for f in (run.state.u, run.state.w, run.state.v):
@@ -269,7 +268,7 @@ def test_rietkerk_blowup_on_coarse_time_step():
     params = RietkerkParams(dt=50.0, T=500.0, D_u=0.0, D_w=0.0, D_v=0.0)
     init = RietkerkState(
         np.random.default_rng(1).uniform(0.5, 5.0, (8, 8)),
-        np.full((8, 8), 2.0), np.full((8, 8), 3.0), dl=2.0,
+        np.full((8, 8), 2.0), np.full((8, 8), 3.0),
     )
     with pytest.raises(NumericalBlowup):
         integrate_rietkerk_batch([params], [init])
@@ -281,12 +280,12 @@ def test_rietkerk_extinction_is_labeled_not_raised():
     init = uniform_state(4, v=0.0)
     run = integrate_rietkerk_batch([params], [init])[0]
     assert run.extinct and run.extinction_step == 0
-    assert run.steps == 1 and run.state.t == params.dt
+    assert run.steps == 1
 
 
 def test_random_state_seeding_fraction():
     rng = np.random.default_rng(9)
-    state = random_rietkerk_state(20, 2.0, rng)
+    state = random_rietkerk_state(20, rng)
     assert state.u.shape == state.w.shape == state.v.shape == (20, 20)
     assert np.count_nonzero(state.v) == 40  # 10% of 400 cells
     assert state.v.max() <= 50.0 and state.u.max() <= 5.0
@@ -311,7 +310,7 @@ def roll_loop_oracle(params, init, extinction_threshold=1e-3, stop_on_extinction
     u = init.u.astype(float).copy()
     w = init.w.astype(float).copy()
     v = init.v.astype(float).copy()
-    inv_dl2 = 1.0 / (init.dl * init.dl)
+    inv_dl2 = 1.0 / (params.dl * params.dl)
     dt = params.dt
     n_steps = int(round(params.T / dt))
     extinction_step = None
@@ -351,7 +350,7 @@ def varied_runs(n_runs, extinct=(), shape=(9, 12), T=1.0, seed=0, **fixed):
             v = np.where(rng.random(shape) < 0.1, rng.uniform(0.0, 50.0, shape), 0.0)
         values.update(fixed)
         params.append(RietkerkParams(**values, T=T))
-        inits.append(RietkerkState(u, w, v, dl=2.0))
+        inits.append(RietkerkState(u, w, v))
     return params, inits
 
 
@@ -368,7 +367,6 @@ def test_batch_bit_identical_to_roll_loop(n_runs, extinct):
         assert np.array_equal(run.state.w, w), i
         assert np.array_equal(run.state.v, v), i
         assert run.steps == steps and run.extinction_step == extinction_step, i
-        assert run.state.t == steps * p.dt
         if i in extinct:  # extinct strictly inside the horizon
             assert 0 < extinction_step < 199
         else:
@@ -418,7 +416,7 @@ def test_batch_blowup_in_the_step_a_lower_run_goes_extinct():
     params = [RietkerkParams(c=0.0, delta_v=20.0, T=1.0),
               RietkerkParams(g_m=0.0, delta_v=-(1e31 - 1) / 0.005, T=1.0)]
     inits = [RietkerkState(rng.uniform(0.0, 5.0, shape), rng.uniform(0.0, 5.0, shape),
-                           np.full(shape, v0), 2.0) for v0 in (3e-3, 1.0)]
+                           np.full(shape, v0)) for v0 in (3e-3, 1.0)]
     with np.errstate(all="ignore"):
         assert roll_loop_oracle(params[0], inits[0], stop_on_extinction=True)[4] == 10
         with pytest.raises(NumericalBlowup) as serial:
@@ -483,20 +481,50 @@ def test_sims_errors_round_trip_through_pickle(err):
 
 def test_batch_rejects_mixed_integration_settings():
     params, inits = varied_runs(2)
-    for changed in ({"dt": 0.004}, {"T": 2.0}):
+    for changed in ({"dt": 0.004}, {"T": 2.0}, {"dl": 4.0}):
         mixed = [params[0], replace(params[1], **changed)]
-        with pytest.raises(ValueError, match="dt and T"):
+        with pytest.raises(ValueError, match="dt, T and dl"):
             integrate_rietkerk_batch(mixed, inits)
     other = inits[1]
-    coarse = replace(other, dl=4.0)
-    small = RietkerkState(other.u[:, :6], other.w[:, :6], other.v[:, :6], dl=2.0)
-    for state in (coarse, small):
-        with pytest.raises(ValueError, match="grid"):
-            integrate_rietkerk_batch(params, [inits[0], state])
+    small = RietkerkState(other.u[:, :6], other.w[:, :6], other.v[:, :6])
+    with pytest.raises(ValueError, match="grid"):
+        integrate_rietkerk_batch(params, [inits[0], small])
     with pytest.raises(ValueError):
         integrate_rietkerk_batch(params, inits[:1])
     with pytest.raises(ValueError):
         integrate_rietkerk_batch([], [])
+
+
+def test_grid_spacing_comes_from_the_parameters(monkeypatch):
+    init = random_rietkerk_state(8, np.random.default_rng(3))
+    coarse = RietkerkParams(T=0.05, dl=4.0)
+    run = integrate_rietkerk_batch([coarse], [init])[0]
+    u, w, v, steps, extinction_step = roll_loop_oracle(coarse, init, stop_on_extinction=True)
+    assert np.array_equal(run.state.u, u) and np.array_equal(run.state.w, w)
+    assert np.array_equal(run.state.v, v)
+    assert run.steps == steps == 10 and run.extinction_step is extinction_step is None
+    default = integrate_rietkerk_batch([RietkerkParams(T=0.05)], [init])[0]
+    assert not np.array_equal(default.state.u, run.state.u)
+    # D_u dt / dl^2 = 100 * 0.005 / 1 = 0.5
+    with pytest.raises(EulerUnstable) as err:
+        integrate_rietkerk_batch([RietkerkParams(T=0.05, dl=1.0)], [init])
+    assert (err.value.run, err.value.value) == (0, 0.5)
+    # rietkerk_experiment's check before dispatch reads the number the
+    # integrator would
+    draw = sims._rietkerk_draw
+
+    def fine_draw(seed, run_idx, scale):
+        params, state = draw(seed, run_idx, scale)
+        return replace(params, dl=1.0), state
+
+    params, state = fine_draw(5, 0, TINY)
+    with pytest.raises(EulerUnstable) as direct:
+        integrate_rietkerk_batch([params], [state])
+    monkeypatch.setattr(sims, "_rietkerk_draw", fine_draw)
+    with pytest.raises(EulerUnstable) as checked:
+        rietkerk_experiment(3, 2, seed=5, scale=TINY)
+    assert checked.value.run == direct.value.run == 0
+    assert checked.value.value == direct.value.value > 0.25
 
 
 # --- Rietkerk experiment ----------------------------------------------------
