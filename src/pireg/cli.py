@@ -18,7 +18,7 @@ import numpy as np
 
 from . import pi, regress, sims
 from .intlinalg import solve_diophantine
-from .pi import FeatureSpec, Monomial, MonomialSet, SCHEMA_VERSION
+from .pi import FeatureSpec, MonomialSet, SCHEMA_VERSION
 from .regress import DataError
 from .units import GroupElement, UnitError, parse_unit
 
@@ -104,7 +104,7 @@ def _int_suffix(arg: str, flag: str, form: str) -> int:
 def _resolve_features(arg: str, spec: FeatureSpec) -> MonomialSet:
     if arg == "basis":
         # constant first so a full-rank spec (empty basis) still fits C * D(x)
-        return [Monomial.constant(spec.d)] + pi.dimensionless_basis(spec)
+        return pi.parse_monomial("1", spec) + pi.dimensionless_basis(spec)
     if arg.startswith("enumerate:"):
         deg = _int_suffix(arg, "--features", "enumerate:<deg>")
         return pi.enumerate_monomials(spec, deg, dimensionless_only=True)
@@ -113,12 +113,12 @@ def _resolve_features(arg: str, spec: FeatureSpec) -> MonomialSet:
     raise DataError(f"unknown --features value {arg!r}")
 
 
-def _resolve_decoders(arg: str, spec, label_units, max_degree) -> list[Monomial]:
+def _resolve_decoders(arg: str, spec, label_units, max_degree) -> MonomialSet:
     """The --decoder value's decoders; only auto, ensemble and index:<i>
     search the decoder solutions.  An expr: decoder's units are checked
     where it is fit, by pi.require_units."""
     if arg.startswith("expr:"):
-        return [pi.parse_monomial(arg.split(":", 1)[1], spec)]
+        return pi.parse_monomial(arg.split(":", 1)[1], spec)
     if arg.startswith("index:"):
         i = _int_suffix(arg, "--decoder", "index:<i>")
     elif arg not in ("auto", "ensemble"):
@@ -132,12 +132,12 @@ def _resolve_decoders(arg: str, spec, label_units, max_degree) -> list[Monomial]
             "raise --decoder-max-degree"
         )
     if arg == "auto":
-        return [sols[0]]
+        return sols[:1]
     if arg == "ensemble":
-        return list(sols)
+        return sols
     if not 0 <= i < len(sols):
         raise DataError(f"decoder index {i} out of range ({len(sols)} solutions)")
-    return [sols[i]]
+    return sols[i:i + 1]
 
 
 def _model_summary(model, spec, top=8) -> list:
@@ -170,7 +170,7 @@ def cmd_regress(args, config) -> int:
     noconv = any(issubclass(w.category, regress.LassoConvergenceWarning) for w in caught)
 
     # the whole ensemble scored from one train, one test and one stacked design
-    scale = loss_scale or models[0].decoder
+    scale = models[0].decoder if loss_scale is None else loss_scale
     train_mse, train_dmse, _ = regress.prediction_errors(models, train, scale)
     if test is not None:
         test_mse, test_dmse, _ = regress.prediction_errors(models, test, scale)
@@ -179,7 +179,7 @@ def cmd_regress(args, config) -> int:
     results = {"n_features": len(features), "n_models": len(models), "models": []}
     for i, model in enumerate(models):
         entry = {
-            "decoder": pi.format_monomial(model.decoder, spec),
+            "decoder": pi.format_monomial(model.decoder[0], spec),
             "train_mse": train_mse[i],
             "train_dimensionless_mse": train_dmse[i],
             "top_weights": _model_summary(model, spec),
@@ -268,7 +268,7 @@ def run_springy(seed: int, scale: str, out_dir, lam: float = 1e-2) -> dict:
         ols_mse = test_dmse[0]
         results = {
             "n_features": len(features),
-            "decoder": pi.format_monomial(decoder, spec),
+            "decoder": pi.format_monomial(decoder[0], spec),
             "ols": {
                 "n_train": train.n,
                 "test_dimensionless_mse": ols_mse,
@@ -322,7 +322,7 @@ def run_blackbody(seed: int, scale: str, out_dir) -> dict:
 
     basis = pi.dimensionless_basis(spec)
     decoders = pi.decoder_solutions(spec, data.label_units, 4)
-    features = [Monomial.constant(spec.d)] + basis
+    features = pi.parse_monomial("1", spec) + basis
     models = regress.fit_monomial_models(train, features, decoders, method="ols",
                                          metadata={"seed": seed})
     results = {
@@ -334,7 +334,7 @@ def run_blackbody(seed: int, scale: str, out_dir) -> dict:
     for m in models:
         test_mse, test_dmse, _ = regress.prediction_errors([m], test, m.decoder)
         results["models"].append({
-            "decoder": pi.format_monomial(m.decoder, spec),
+            "decoder": pi.format_monomial(m.decoder[0], spec),
             "constant": m.weights[0],
             "test_mse": test_mse[0],
             "test_dimensionless_mse": test_dmse[0],
@@ -367,10 +367,10 @@ def run_rietkerk(seed: int, scale: str, out_dir,
     out_dir.mkdir(parents=True, exist_ok=True)
     exp = sims.rietkerk_experiment(n_train, n_test, seed, grid)
     spec = exp.train.spec
-    const = Monomial.constant(spec.d)
+    const = pi.parse_monomial("1", spec)
 
     table = sims.rietkerk_table_features()
-    dimless_feats = [const] + _with_inverses(table)
+    dimless_feats = const + _with_inverses(table)
     decoder = pi.parse_monomial("k2", spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", regress.RankDeficientWarning)
@@ -379,7 +379,7 @@ def run_rietkerk(seed: int, scale: str, out_dir,
             metadata={"seed": seed, "scale": scale},
         )
         raw = MonomialSet(np.eye(spec.d, dtype=np.int64))
-        baseline_feats = [const] + _with_inverses(raw)
+        baseline_feats = const + _with_inverses(raw)
         baseline = regress.fit_monomial_model(
             exp.train, baseline_feats, None, method="ols",
             metadata={"seed": seed, "scale": scale},
@@ -396,7 +396,7 @@ def run_rietkerk(seed: int, scale: str, out_dir,
         "metadata": exp.metadata,
         "n_features_dimensionless": len(dimless_feats),
         "n_features_baseline": len(baseline_feats),
-        "decoder": pi.format_monomial(decoder, spec),
+        "decoder": pi.format_monomial(decoder[0], spec),
         "dimensionless": {
             **scores(dimless),
             "equivariance_residual": regress.equivariance_residual(

@@ -11,7 +11,7 @@ dimensions to a dimensionless regression output.
 Degree convention: degree(alpha) = max_i weight_i * |alpha_i|, with
 per-feature weights from the spec (dot-product features are quadratic in the
 raw inputs and carry weight 2).  total_degree(alpha) = sum_i |alpha_i| is
-exposed separately.
+exposed separately; _degrees computes both.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -164,21 +163,11 @@ class FeatureSpec:
 
 @dataclass(frozen=True)
 class Monomial:
-    """coeff * prod_i x_i ** exps_i over a feature spec's feature order."""
+    """coeff * prod_i x_i ** exps_i over a feature spec's feature order: the
+    read-only value that indexing or iterating a MonomialSet gives."""
 
     exps: tuple[int, ...]
     coeff: float = 1.0
-
-    @classmethod
-    def constant(cls, d: int, coeff: float = 1.0) -> "Monomial":
-        return cls((0,) * d, coeff)
-
-    @classmethod
-    def zero(cls, d: int) -> "Monomial":
-        return cls((0,) * d, 0.0)
-
-    def is_zero(self) -> bool:
-        return self.coeff == 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +176,9 @@ class MonomialSet:
     exponent array and a (p,) float64 coefficient array (default all 1).
 
     len, iteration and integer indexing give Monomial values; slicing and +
-    (also with a sequence of Monomial on either side) give sets; == compares
-    element by element with a set or a list or tuple of Monomial.
+    give sets; == compares exponents and coefficients with another set.
+    Every function that takes or stores monomials takes a set, one monomial
+    (a decoder, a loss scale) as a one-row set.
     """
 
     exps: np.ndarray
@@ -224,55 +214,54 @@ class MonomialSet:
         return Monomial(tuple(self.exps[i].tolist()), float(self.coeffs[i]))
 
     def __add__(self, other) -> "MonomialSet":
-        other = as_monomial_set(other, self.d)
+        require_set(other, self.d)
         return MonomialSet(np.concatenate([self.exps, other.exps]),
                            np.concatenate([self.coeffs, other.coeffs]))
 
-    def __radd__(self, other) -> "MonomialSet":
-        return as_monomial_set(other, self.d) + self
-
     def __eq__(self, other):
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
         if not isinstance(other, MonomialSet):
             return NotImplemented
         return np.array_equal(self.exps, other.exps) and np.array_equal(self.coeffs, other.coeffs)
 
 
-def as_monomial_set(monomials, d: int) -> MonomialSet:
-    """monomials as a MonomialSet over d features, like np.asarray: a set
-    passes through and a sequence of Monomial is stacked.  ValueError
-    unless every monomial has d exponents."""
+def require_set(monomials, d: int, rows: int | None = None) -> None:
+    """The entry check of every function that takes monomials: TypeError
+    unless they are a MonomialSet, ValueError unless it has d columns and,
+    where rows is given, that many rows."""
     if not isinstance(monomials, MonomialSet):
-        monomials = list(monomials)
-        monomials = MonomialSet(
-            np.array([m.exps for m in monomials] or np.zeros((0, d)), dtype=np.int64),
-            [m.coeff for m in monomials],
-        )
+        raise TypeError(f"monomials must be a MonomialSet, not {type(monomials).__name__}")
     if monomials.d != d:
         raise ValueError(f"monomials have {monomials.d} exponents, expected {d}")
-    return monomials
+    if rows is not None and len(monomials) != rows:
+        raise ValueError(f"expected {rows} monomial(s), got {len(monomials)}")
+
+
+def _degrees(exps, weights=1) -> tuple[np.ndarray, np.ndarray]:
+    """(degree, total_degree) of each exponent vector along exps' last axis:
+    max_i weights_i |alpha_i| and sum_i |alpha_i|, 0 for no features."""
+    mags = np.abs(np.asarray(exps, dtype=np.int64))
+    return (mags * weights).max(axis=-1, initial=0), mags.sum(axis=-1)
 
 
 def total_degree(m: Monomial) -> int:
-    return sum(abs(e) for e in m.exps)
+    return int(_degrees(m.exps)[1])
 
 
 def degree(m: Monomial, spec: FeatureSpec) -> int:
-    return max((w * abs(e) for w, e in zip(spec.weights(), m.exps)), default=0)
+    return int(_degrees(m.exps, spec.weights())[0])
 
 
 def monomial_units(m: Monomial, spec: FeatureSpec) -> UnitVector:
-    return UnitVector(tuple(_unit_rows(as_monomial_set([m], spec.d), spec)[0].tolist()))
+    return UnitVector(tuple((np.asarray(m.exps, dtype=np.int64) @ spec.units_array).tolist()))
 
 
-def require_units(monomials: MonomialSet | Sequence[Monomial], spec: FeatureSpec,
-                  target: UnitVector, what: str) -> None:
+def require_units(monomials: MonomialSet, spec: FeatureSpec, target: UnitVector,
+                  what: str) -> None:
     """The one check that monomials carry the target units: UnitMismatch
     naming `what`, the first monomial that does not and both unit
     expressions, e.g. "the label and decoder 'm L' carry different units:
-    kg m^2 s^-2 vs kg m".  A sequence of Monomial is stacked first."""
-    monomials = as_monomial_set(monomials, spec.d)
+    kg m^2 s^-2 vs kg m"; require_set's errors first."""
+    require_set(monomials, spec.d)
     expected = format_unit(target, spec.system)
     units = _unit_rows(monomials, spec)
     wrong = np.flatnonzero(np.any(units != np.array(target.exps, dtype=np.int64), axis=1))
@@ -287,17 +276,17 @@ def format_monomial(m: Monomial, spec: FeatureSpec) -> str:
     return format_product(spec.names(), m.exps)
 
 
-def parse_monomial(expr: str, spec: FeatureSpec) -> Monomial:
-    """Parse "k_s L^2" style products over feature names: units.product_factors'
-    grammar, so MalformedExponent for a bad exponent; ValueError for a name
-    that is not a feature."""
+def parse_monomial(expr: str, spec: FeatureSpec) -> MonomialSet:
+    """The one-row set of a "k_s L^2" style product over feature names ("1"
+    is the constant): units.product_factors' grammar, so MalformedExponent
+    for a bad exponent; ValueError for a name that is not a feature."""
     exps = [0] * spec.d
     for name, e in product_factors(expr):
         try:
             exps[spec.index(name)] += e
         except KeyError:
             raise ValueError(f"unknown feature {name!r} in monomial expression") from None
-    return Monomial(tuple(exps))
+    return MonomialSet(np.array([exps], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +315,7 @@ def _int_pow(base, n: int):
 _BLOCK_ENTRIES = 2**16
 
 
-def build_design_matrix(rows, monomials: MonomialSet | Sequence[Monomial]) -> np.ndarray:
+def build_design_matrix(rows, monomials: MonomialSet) -> np.ndarray:
     """(N, p) C-contiguous matrix X[t, j] = coeff_j * prod_i rows[t, i] ** exps_j[i].
 
     A fold over the features, block by block of rows: each distinct nonzero
@@ -338,14 +327,13 @@ def build_design_matrix(rows, monomials: MonomialSet | Sequence[Monomial]) -> np
     The first failing monomial raises PoleAtZero (at its first feature with
     a negative exponent and a zero value, and that feature's first zero row)
     or else NonFinite (at its first non-finite row).  ValueError unless rows
-    is 2-D and every exps has d entries.  A sequence of Monomial is stacked
-    by as_monomial_set first.
+    is 2-D; require_set's errors unless monomials have d columns.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("rows must be 2-D")
     n, d = rows.shape
-    monomials = as_monomial_set(monomials, d)
+    require_set(monomials, d)
     exps, coeffs = monomials.exps, monomials.coeffs[:, None]
     p = len(exps)
     folds = [(i, *np.unique(exps[:, i], return_inverse=True)) for i in range(d) if exps[:, i].any()]
@@ -525,10 +513,9 @@ def sample_dimensional_monomials(
 
 def reynolds_project(m: Monomial, spec: FeatureSpec) -> Monomial:
     """Group-average a monomial: dimensionless monomials are fixed points,
-    everything else averages to the zero monomial.  Idempotent by inspection."""
-    if monomial_units(m, spec).is_zero():
-        return m
-    return Monomial.zero(spec.d)
+    everything else averages to the zero monomial, coefficient 0.  Idempotent
+    by inspection."""
+    return m if monomial_units(m, spec).is_zero() else Monomial((0,) * spec.d, 0.0)
 
 
 def decoder_solutions(
@@ -541,8 +528,8 @@ def decoder_solutions(
     lattice solve is too large (the cap is described at lattice_points).
     """
     pts = lattice_points(spec, target_units, max_degree)
-    mags = np.abs(pts)
-    keys = tuple(pts.T[::-1]) + (mags.sum(axis=1), (mags * spec.weights()).max(axis=1))
+    degrees, total_degrees = _degrees(pts, spec.weights())
+    keys = tuple(pts.T[::-1]) + (total_degrees, degrees)
     return MonomialSet(pts[np.lexsort(keys)])
 
 
@@ -557,7 +544,7 @@ def _unit_rows(monomials: MonomialSet, spec: FeatureSpec) -> np.ndarray:
 def monomials_to_json(monomials: MonomialSet, spec: FeatureSpec) -> list[dict]:
     """One JSON object per monomial: its exps, coeff, degree and units."""
     exps = monomials.exps
-    degrees = (np.abs(exps) * spec.weights()).max(axis=1, initial=0).tolist()
+    degrees = _degrees(exps, spec.weights())[0].tolist()
     return [
         {"exps": e, "coeff": c, "degree": g, "units": u}
         for e, c, g, u in zip(exps.tolist(), monomials.coeffs.tolist(), degrees,
@@ -604,11 +591,12 @@ def monomials_from_json(entries, spec: FeatureSpec, what: str) -> MonomialSet:
     return monomials
 
 
-def save_monomials(path, monomials: MonomialSet | Sequence[Monomial], spec: FeatureSpec) -> None:
+def save_monomials(path, monomials: MonomialSet, spec: FeatureSpec) -> None:
+    require_set(monomials, spec.d)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "feature_names": spec.names(),
-        "monomials": monomials_to_json(as_monomial_set(monomials, spec.d), spec),
+        "monomials": monomials_to_json(monomials, spec),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)

@@ -29,17 +29,16 @@ from . import pi
 from .pi import (
     DataError,
     FeatureSpec,
-    Monomial,
     MonomialSet,
     NonFinite,
     PoleAtZero,
     SCHEMA_VERSION,
-    as_monomial_set,
     build_design_matrix,
     finite_number,
     monomials_from_json,
     monomials_to_json,
     read_json_file,
+    require_set,
     require_units,
 )
 from .units import (
@@ -498,28 +497,28 @@ def fit_lasso(
 class RegressionModel:
     """Monomial features, their weights, and the unit-restoring decoder.
 
-    decoder None means the model was fit directly on the dimensional label
-    (no unit restoration; not equivariant).  Otherwise the decoder's units
-    must equal the label units.  A sequence of Monomial is stored as a set.
+    The decoder is a one-row set with the label units, or None: a model fit
+    directly on the dimensional label (no unit restoration; not equivariant).
     """
 
     spec: FeatureSpec
     monomials: MonomialSet
     weights: tuple[float, ...]
-    decoder: Monomial | None
+    decoder: MonomialSet | None
     label_units: UnitVector
     intercept: float = 0.0
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "monomials", as_monomial_set(self.monomials, self.spec.d))
+        require_set(self.monomials, self.spec.d)
         if len(self.monomials) != len(self.weights):
             raise ValueError("one weight per monomial required")
         if self.decoder is not None:
-            require_units([self.decoder], self.spec, self.label_units, "the label and decoder")
+            require_set(self.decoder, self.spec.d, rows=1)
+            require_units(self.decoder, self.spec, self.label_units, "the label and decoder")
 
 
-def _label_unit_columns(data: Dataset, monomials: Sequence[Monomial], what: str) -> np.ndarray:
+def _label_unit_columns(data: Dataset, monomials: MonomialSet, what: str) -> np.ndarray:
     """(N, m) values on data's rows of monomials that must carry its label
     units: pi.require_units' UnitMismatch, naming the label and `what`, or
     ZeroScale, naming the monomial and the row, where one evaluates to zero."""
@@ -531,6 +530,12 @@ def _label_unit_columns(data: Dataset, monomials: Sequence[Monomial], what: str)
         raise ZeroScale(f"{what} {pi.format_monomial(monomials[j], data.spec)!r} "
                         f"evaluated to zero at row {t}")
     return values
+
+
+def _scale_column(data: Dataset, scale: MonomialSet) -> np.ndarray:
+    """_label_unit_columns of a one-row loss or error scale, as an (N,) array."""
+    require_set(scale, data.spec.d, rows=1)
+    return _label_unit_columns(data, scale, "loss scale")[:, 0]
 
 
 def _require_shared(models: Sequence[RegressionModel]) -> None:
@@ -557,7 +562,10 @@ def _predict_blocks(
     X = build_design_matrix(rows, models[0].monomials)
     X = X.reshape(blocks, len(X) // blocks, X.shape[1])
     decoders = [m.decoder for m in models if m.decoder is not None]
-    dcols = iter(build_design_matrix(rows, decoders).T if decoders else ())
+    if len(decoders) > 1:
+        decoders = [MonomialSet(np.concatenate([dec.exps for dec in decoders]),
+                                np.concatenate([dec.coeffs for dec in decoders]))]
+    dcols = iter(build_design_matrix(rows, decoders[0]).T if decoders else ())
     preds = np.empty((len(models), len(rows)))
     # an overflow is reported once, as NonFinite below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -586,38 +594,38 @@ def predict(model: RegressionModel, x) -> Quantity:
 
 def fit_monomial_models(
     data: Dataset,
-    monomials: MonomialSet | Sequence[Monomial],
-    decoders: Sequence[Monomial | None],
+    monomials: MonomialSet,
+    decoders: MonomialSet | None,
     method: str = "ols",
     ridge: float = 0.0,
     lam: float = 0.0,
-    loss_scale: Monomial | None = None,
+    loss_scale: MonomialSet | None = None,
     max_sweeps: int = 1000,
     metadata: dict | None = None,
 ) -> list[RegressionModel]:
-    """One model per decoder over one monomial set, each trained in
-    dimensionless space.
+    """One model per row of decoders over one monomial set, each trained in
+    dimensionless space; decoders None gives one direct fit on the
+    dimensional label.
 
-    With a decoder D the target is eta_t = y_t / D(x_t); a loss_scale
-    monomial S (same units as the label, default S = D) turns the objective
-    into sum_t ((y_hat_t - y_t)/S(x_t))^2 via row weights D_t/S_t.  A
-    decoder None fits directly on the dimensional label (loss_scale, when
-    given, again weights rows).  The feature design, the decoder columns and
-    the loss-scale column are each evaluated once; since a design entry does
-    not depend on the other monomials, each model equals its own
+    With a decoder D the target is eta_t = y_t / D(x_t); a one-row
+    loss_scale S (same units as the label, default S = D) turns the
+    objective into sum_t ((y_hat_t - y_t)/S(x_t))^2 via row weights D_t/S_t
+    (of a direct fit too).  The feature design, the decoder columns and the
+    loss-scale column are each evaluated once; since a design entry does not
+    depend on the other monomials, each model equals its own
     fit_monomial_model call bit for bit.
     """
     if method not in ("ols", "lasso"):
         raise ValueError(f"unknown method {method!r}")
-    monomials, decoders = as_monomial_set(monomials, data.spec.d), list(decoders)
-    live = [dec for dec in decoders if dec is not None]
-    dcols = iter(_label_unit_columns(data, live, "decoder").T if live else ())
+    require_set(monomials, data.spec.d)
+    dcols = (np.ones((data.n, 1)) if decoders is None
+             else _label_unit_columns(data, decoders, "decoder"))
     if loss_scale is not None:
-        svals = _label_unit_columns(data, [loss_scale], "loss scale")[:, 0]
+        svals = _scale_column(data, loss_scale)
     X = build_design_matrix(data.rows, monomials)
     models = []
-    for decoder in decoders:
-        dvals = np.ones(data.n) if decoder is None else next(dcols)
+    for j, dvals in enumerate(dcols.T):
+        decoder = None if decoders is None else decoders[j:j + 1]
         eta = data.label_values / dvals
         Xw = X
         if loss_scale is not None:
@@ -642,16 +650,19 @@ def fit_monomial_models(
     return models
 
 
-def fit_monomial_model(data: Dataset, monomials, decoder: Monomial | None,
+def fit_monomial_model(data: Dataset, monomials: MonomialSet, decoder: MonomialSet | None,
                        **options) -> RegressionModel:
-    """fit_monomial_models for one decoder, with the same options."""
-    return fit_monomial_models(data, monomials, [decoder], **options)[0]
+    """fit_monomial_models for a one-row decoder or None, with the same
+    options."""
+    if decoder is not None:
+        require_set(decoder, data.spec.d, rows=1)
+    return fit_monomial_models(data, monomials, decoder, **options)[0]
 
 
 def prediction_errors(
-    models: Sequence[RegressionModel], data: Dataset, scale: Monomial | None = None
+    models: Sequence[RegressionModel], data: Dataset, scale: MonomialSet | None = None
 ) -> tuple[list[float], list[float] | None, np.ndarray]:
-    """Each model's mean squared error on data, given a scale monomial S with
+    """Each model's mean squared error on data, given a one-row scale S with
     the label units its mean of ((pred - label)/S(x))^2 (else None), and the
     (len(models), N) predictions they score, all from one design matrix;
     ValueError as _require_shared."""
@@ -661,11 +672,11 @@ def prediction_errors(
     errors = [float(np.mean(r * r)) for r in resid]
     if scale is None:
         return errors, None, preds
-    resid /= _label_unit_columns(data, [scale], "loss scale")[:, 0]
+    resid /= _scale_column(data, scale)
     return errors, [float(np.mean(r * r)) for r in resid], preds
 
 
-def dimensionless_mse(model: RegressionModel, data: Dataset, scale: Monomial) -> float:
+def dimensionless_mse(model: RegressionModel, data: Dataset, scale: MonomialSet) -> float:
     """Mean of ((pred - label)/S(x))^2 over the dataset."""
     return prediction_errors([model], data, scale)[1][0]
 
@@ -763,9 +774,7 @@ def model_to_json_dict(model: RegressionModel) -> dict:
         "monomials": monomials_to_json(model.monomials, model.spec),
         "weights": list(model.weights),
         "decoder": (
-            monomials_to_json(as_monomial_set([model.decoder], model.spec.d), model.spec)[0]
-            if model.decoder is not None
-            else None
+            monomials_to_json(model.decoder, model.spec)[0] if model.decoder is not None else None
         ),
         "intercept": model.intercept,
         "metadata": model.metadata,
@@ -788,11 +797,9 @@ def model_from_json_dict(data: dict) -> RegressionModel:
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DataError(f"metadata: expected an object, got {type(metadata).__name__}")
-    decoder = (
-        monomials_from_json([data["decoder"]], spec, "decoder")[0]
-        if data.get("decoder") is not None
-        else None
-    )
+    decoder = data.get("decoder")
+    if decoder is not None:
+        decoder = monomials_from_json([decoder], spec, "decoder")
     return RegressionModel(
         spec,
         monomials,

@@ -11,7 +11,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .geometry import invariant_rows, scalarize
-from .pi import FeatureDef, FeatureSpec, Monomial, MonomialSet, parse_monomial, require_units
+from .pi import FeatureDef, FeatureSpec, MonomialSet, parse_monomial, require_units
 from .regress import Dataset, serial_blas_available
 from .units import BaseUnitSystem, UnitVector, parse_unit, si_system
 
@@ -195,7 +195,7 @@ def rietkerk_table_features() -> MonomialSet:
         "alpha^-1 D_w L^-2",
         "L^-1 dl",
     ]
-    table = MonomialSet(np.array([parse_monomial(e, spec).exps for e in exprs], dtype=np.int64))
+    table = MonomialSet(np.concatenate([parse_monomial(e, spec).exps for e in exprs]))
     require_units(table, spec, spec.system.zero(), "dimensionless units and table feature")
     return table
 
@@ -377,15 +377,16 @@ def integrate_rietkerk_batch(
 
     Explicit Euler with a 5-point periodic Laplacian, T/dt steps.  dt, T
     and the grid spacing dl are read from the parameters, and the grid shape
-    from the states (params.L is not read); the runs must share all four
-    (ValueError otherwise).  Before the first step every run must satisfy
-    max(D_u, D_w, D_v) dt / dl^2 <= 1/4; EulerUnstable names the first run
-    that does not.  Extinction (mean vegetation below EXTINCTION_THRESHOLD)
-    is a labeled outcome, not an error, and it ends the run: an extinct run
-    leaves the batch at the step it goes extinct.  Blowup (NaN in any field, or
-    negativity beyond the -1e-9 Euler undershoot allowance) raises
-    NumericalBlowup for the lowest-index run that blows up, at the step it
-    blows up, as a loop over the runs in index order would.
+    from the states; the runs must share all four, and each run's extent L
+    must equal the grid's rows times dl (ValueError otherwise).  Before the
+    first step every run must satisfy max(D_u, D_w, D_v) dt / dl^2 <= 1/4;
+    EulerUnstable names the first run that does not.  Extinction (mean
+    vegetation below EXTINCTION_THRESHOLD) is a labeled outcome, not an
+    error, and it ends the run: an extinct run leaves the batch at the step
+    it goes extinct.  Blowup (NaN in any field, or negativity beyond the
+    -1e-9 Euler undershoot allowance) raises NumericalBlowup for the
+    lowest-index run that blows up, at the step it blows up, as a loop over
+    the runs in index order would.
     """
     params, inits = list(params), list(inits)
     if not params or len(params) != len(inits):
@@ -398,6 +399,8 @@ def integrate_rietkerk_batch(
             raise ValueError("runs in one batch must share dt, T and dl")
         if not (s.u.shape == s.w.shape == s.v.shape == shape):
             raise ValueError("runs in one batch must share the grid shape")
+        if p.L != shape[0] * p.dl:
+            raise ValueError(f"run {run}: L = {p.L} is not {shape[0]} cells of dl = {p.dl}")
         diffusion_number = _diffusion_number(p)
         if not diffusion_number <= 0.25:
             raise EulerUnstable(run, diffusion_number)
@@ -693,11 +696,11 @@ def blackbody_dataset(n: int, seed: int) -> Dataset:
 
 @dataclass(frozen=True)
 class Fixture:
-    """A named monomial with a declared unit target, checked at build time.
+    """A named one-row set with a declared unit target, checked at build time.
     sqrt_flagged marks entries stored as the square of a square-root scalar."""
 
     name: str
-    monomial: Monomial
+    monomial: MonomialSet
     sqrt_flagged: bool = False
 
 
@@ -714,7 +717,7 @@ def double_pendulum_spec() -> FeatureSpec:
 
 def _fixture(spec, expr, target: UnitVector, sqrt_flagged=False) -> Fixture:
     mono = parse_monomial(expr, spec)
-    require_units([mono], spec, target, "the declared units and fixture")
+    require_units(mono, spec, target, "the declared units and fixture")
     return Fixture(expr, mono, sqrt_flagged)
 
 

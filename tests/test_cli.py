@@ -516,7 +516,7 @@ def test_monomial_and_model_file_errors_exit_3(pendulum_csvs, tmp_path, capsys, 
     else:
         decoder = pi.parse_monomial("k_s L^2", spec)
         model = regress.RegressionModel(spec, features, (0.5,) * 6, decoder,
-                                        pi.monomial_units(decoder, spec))
+                                        pi.monomial_units(decoder[0], spec))
         regress.save_model(path, model)
     payload = json.loads(path.read_text())
     edit(payload)

@@ -17,7 +17,6 @@ from pireg.pi import (
     MonomialSet,
     NonFinite,
     PoleAtZero,
-    as_monomial_set,
     build_design_matrix,
     decoder_solutions,
     degree,
@@ -88,7 +87,7 @@ def test_basis_two_masses_is_the_ratio():
 
 
 def test_basis_planck_is_empty():
-    assert dimensionless_basis(PLANCK) == []
+    assert len(dimensionless_basis(PLANCK)) == 0
 
 
 def test_basis_three_velocities_two_dimensional():
@@ -113,7 +112,7 @@ def test_pendulum_enumeration_counts(pend_spec):
 
 def test_enumerate_degree_zero():
     out = enumerate_monomials(MKLP, 0)
-    assert out == [Monomial((0, 0, 0, 0))]
+    assert list(out) == [Monomial((0, 0, 0, 0))]
 
 
 def test_enumerate_two_mass_degree_one():
@@ -220,13 +219,18 @@ def box_sweep_enumerate(spec, max_degree, dimensionless_only=False):
         if dimensionless_only:
             block = block[~np.any(block @ U, axis=1)]
         out.extend(Monomial(tuple(int(e) for e in row)) for row in block)
-    return out
+    return _stacked(out, spec.d)
+
+
+def _stacked(monomials, d):
+    """The MonomialSet of a list of Monomial with unit coefficients."""
+    return MonomialSet(np.array([m.exps for m in monomials], dtype=np.int64).reshape(-1, d))
 
 
 def box_sweep_decoders(spec, target_units, max_degree):
     """The box sweep decoder_solutions ran before it called lattice_points."""
     if solve_diophantine(spec.units_array, target_units.exps) is None:
-        return []
+        return _stacked([], spec.d)
     U = np.array([f.units.exps for f in spec.features], dtype=np.int64)
     target = np.array(target_units.exps, dtype=np.int64)
     hits = []
@@ -234,7 +238,7 @@ def box_sweep_decoders(spec, target_units, max_degree):
         mask = np.all(block @ U == target, axis=1)
         hits.extend(Monomial(tuple(int(e) for e in row)) for row in block[mask])
     hits.sort(key=lambda mm: (degree(mm, spec), total_degree(mm), mm.exps))
-    return hits
+    return _stacked(hits, spec.d)
 
 
 @pytest.mark.parametrize("max_degree", [2, 3])
@@ -337,31 +341,31 @@ def test_lattice_points_reject_int64_overflow():
 
 def test_degree_conventions(pend_spec):
     # dots weigh double, so a squared dot product exceeds degree 2
-    gp = parse_monomial("g.p", pend_spec)
+    gp = parse_monomial("g.p", pend_spec)[0]
     assert degree(gp, pend_spec) == 2
     assert degree(Monomial(tuple(2 * e for e in gp.exps)), pend_spec) == 4
-    mk = parse_monomial("m k_s^-1 L^-2 g.q", pend_spec)
+    mk = parse_monomial("m k_s^-1 L^-2 g.q", pend_spec)[0]
     assert degree(mk, pend_spec) == 2
     assert total_degree(mk) == 5
-    assert degree(Monomial.constant(pend_spec.d), pend_spec) == 0
+    assert degree(parse_monomial("1", pend_spec)[0], pend_spec) == 0
 
 
 def test_evaluate_constant_is_one():
-    assert build_design_matrix([[5.0, 6.0, 7.0, 8.0]], [Monomial((0, 0, 0, 0))])[0, 0] == 1.0
+    assert build_design_matrix([[5.0, 6.0, 7.0, 8.0]], parse_monomial("1", MKLP))[0, 0] == 1.0
 
 
 def test_evaluate_worked_example():
     m = parse_monomial("m k_s L^2 |p|^-2", MKLP)
-    assert build_design_matrix([[2.0, 3.0, 2.0, 4.0]], [m])[0, 0] == 1.5
-    assert monomial_units(m, MKLP).is_zero()
+    assert build_design_matrix([[2.0, 3.0, 2.0, 4.0]], m)[0, 0] == 1.5
+    assert monomial_units(m[0], MKLP).is_zero()
 
 
 def test_evaluate_pole_at_zero():
     m = parse_monomial("|p|^-1", MKLP)
     with pytest.raises(PoleAtZero):
-        build_design_matrix([[1.0, 1.0, 1.0, 0.0]], [m])
+        build_design_matrix([[1.0, 1.0, 1.0, 0.0]], m)
     with pytest.raises(PoleAtZero) as err:
-        build_design_matrix(np.array([[1.0, 1, 1, 2], [1.0, 1, 1, 0]]), [m])
+        build_design_matrix(np.array([[1.0, 1, 1, 2], [1.0, 1, 1, 0]]), m)
     assert (err.value.feature_index, err.value.row) == (3, 1)
     # the error can cross the process boundary of a forked worker
     back = pickle.loads(pickle.dumps(err.value))
@@ -370,9 +374,9 @@ def test_evaluate_pole_at_zero():
 
 
 def test_evaluate_overflow_is_loud():
-    m = Monomial((400, 0, 0, 0))
+    m = MonomialSet(np.array([[400, 0, 0, 0]]))
     with pytest.raises(NonFinite):
-        build_design_matrix([[10.0, 1.0, 1.0, 1.0]], [m])
+        build_design_matrix([[10.0, 1.0, 1.0, 1.0]], m)
 
 
 def test_row_and_scalar_evaluation_agree_exactly(pend_spec):
@@ -380,9 +384,9 @@ def test_row_and_scalar_evaluation_agree_exactly(pend_spec):
     rows = rng.uniform(0.5, 2.0, size=(16, pend_spec.d))
     monos = enumerate_monomials(pend_spec, 2, dimensionless_only=True)[::23]
     X = build_design_matrix(rows, monos)
-    for j, m in enumerate(monos):
+    for j in range(len(monos)):
         for i in range(rows.shape[0]):
-            assert X[i, j] == build_design_matrix(rows[i:i + 1], [m])[0, 0]
+            assert X[i, j] == build_design_matrix(rows[i:i + 1], monos[j:j + 1])[0, 0]
 
 
 def test_dimensionless_invariance_under_rescaling(pend_spec):
@@ -394,21 +398,20 @@ def test_dimensionless_invariance_under_rescaling(pend_spec):
         gx = [
             v * scale_factor(g, f.units) for v, f in zip(x, pend_spec.features)
         ]
-        for m in monos[:: 29]:
-            a = build_design_matrix([x], [m])[0, 0]
-            b = build_design_matrix([gx], [m])[0, 0]
+        for a, b in zip(build_design_matrix([x], monos[::29])[0],
+                        build_design_matrix([gx], monos[::29])[0]):
             assert math.isclose(a, b, rel_tol=1e-10)
 
 
 def test_reynolds_fixes_dimensionless_kills_the_rest(pend_spec):
-    pi_m = parse_monomial("m k_s L^2 |p|^-2", MKLP)
+    pi_m = parse_monomial("m k_s L^2 |p|^-2", MKLP)[0]
     assert reynolds_project(pi_m, MKLP) == pi_m
-    length = parse_monomial("L", MKLP)
-    assert reynolds_project(length, MKLP).is_zero()
-    const = Monomial.constant(MKLP.d)
+    length = parse_monomial("L", MKLP)[0]
+    assert reynolds_project(length, MKLP) == Monomial((0,) * MKLP.d, 0.0)
+    const = parse_monomial("1", MKLP)[0]
     assert reynolds_project(const, MKLP) == const
     # idempotence both ways
-    assert reynolds_project(reynolds_project(length, MKLP), MKLP).is_zero()
+    assert reynolds_project(reynolds_project(length, MKLP), MKLP).coeff == 0.0
     assert reynolds_project(reynolds_project(pi_m, MKLP), MKLP) == pi_m
 
 
@@ -421,7 +424,7 @@ def test_decoder_solutions_planck_unique():
 def test_decoder_solutions_pendulum_energy(pend_spec):
     target = parse_unit("J", MECH)
     sols = decoder_solutions(pend_spec, target, 2)
-    assert parse_monomial("k_s L^2", pend_spec).exps in [s.exps for s in sols]
+    assert parse_monomial("k_s L^2", pend_spec)[0] in list(sols)
 
 
 def test_decoder_solutions_zero_target_degree_zero():
@@ -431,7 +434,7 @@ def test_decoder_solutions_zero_target_degree_zero():
 
 def test_decoder_solutions_infeasible():
     spec = mech_spec(("area", "m^2", 1, True))
-    assert decoder_solutions(spec, parse_unit("m", MECH), 6) == []
+    assert len(decoder_solutions(spec, parse_unit("m", MECH), 6)) == 0
 
 
 def test_decoder_solutions_all_have_target_units(pend_spec):
@@ -443,27 +446,27 @@ def test_decoder_solutions_all_have_target_units(pend_spec):
 def test_decoder_equivariance(pend_spec):
     rng = np.random.default_rng(5)
     dec = parse_monomial("k_s L^2", pend_spec)
-    v = monomial_units(dec, pend_spec)
+    v = monomial_units(dec[0], pend_spec)
     x = list(rng.uniform(0.5, 2.0, size=pend_spec.d))
     for _ in range(20):
         g = GroupElement(tuple(rng.uniform(0.1, 10.0, size=pend_spec.k)))
         gx = [val * scale_factor(g, f.units) for val, f in zip(x, pend_spec.features)]
-        lhs = build_design_matrix([gx], [dec])[0, 0]
-        rhs = scale_factor(g, v) * build_design_matrix([x], [dec])[0, 0]
+        lhs = build_design_matrix([gx], dec)[0, 0]
+        rhs = scale_factor(g, v) * build_design_matrix([x], dec)[0, 0]
         assert math.isclose(lhs, rhs, rel_tol=1e-10)
 
 
 def test_parse_format_round_trip(pend_spec):
     for expr in ("1", "k_s L^2", "m^-1 k_s^-1 L^-2 |p|^2", "m k_s^-1 L^-2 g.q"):
         m = parse_monomial(expr, pend_spec)
-        assert format_monomial(m, pend_spec) == expr
-        assert parse_monomial(format_monomial(m, pend_spec), pend_spec) == m
+        assert format_monomial(m[0], pend_spec) == expr
+        assert parse_monomial(format_monomial(m[0], pend_spec), pend_spec) == m
 
 
 @given(st.lists(st.integers(-4, 4), min_size=9, max_size=9))
 def test_monomial_format_parse_round_trip(pend_spec, exps):
     m = Monomial(tuple(exps))
-    assert parse_monomial(format_monomial(m, pend_spec), pend_spec) == m
+    assert parse_monomial(format_monomial(m, pend_spec), pend_spec)[0] == m
 
 
 def test_parse_monomial_errors(pend_spec):
@@ -485,13 +488,13 @@ def test_unit_and_monomial_parsers_reject_the_same_tokens(pend_spec, token):
 
 def test_require_units_names_the_monomial_and_both_unit_expressions(pend_spec):
     energy = parse_unit("J", pend_spec.system)
-    good = [parse_monomial(e, pend_spec) for e in ("k_s L^2", "m |g| L", "|p|^2 m^-1")]
+    good = (parse_monomial("k_s L^2", pend_spec) + parse_monomial("m |g| L", pend_spec)
+            + parse_monomial("|p|^2 m^-1", pend_spec))
     pi.require_units(good, pend_spec, energy, "the label and decoder")
     pi.require_units(MonomialSet(np.zeros((0, 9), dtype=np.int64)), pend_spec, energy, "x")
-    bad = good + [parse_monomial("m L", pend_spec), parse_monomial("L", pend_spec)]
+    bad = good + parse_monomial("m L", pend_spec) + parse_monomial("L", pend_spec)
     with pytest.raises(UnitMismatch) as err:
-        pi.require_units(MonomialSet(np.array([b.exps for b in bad])), pend_spec, energy,
-                         "the label and decoder")
+        pi.require_units(bad, pend_spec, energy, "the label and decoder")
     assert str(err.value) == ("the label and decoder 'm L' carry different units: "
                               "kg m^2 s^-2 vs kg m")
     assert (err.value.left, err.value.right) == (format_unit(energy, pend_spec.system), "kg m")
@@ -504,13 +507,19 @@ def test_monomial_set_views_equal_the_monomial_lists(pend_spec):
     got = enumerate_monomials(pend_spec, 2, dimensionless_only=True)
     old = box_sweep_enumerate(pend_spec, 2, dimensionless_only=True)
     assert got.exps.shape == (286, pend_spec.d) and got.exps.dtype == np.int64
-    assert [got[i] for i in range(len(got))] == list(got) == old
+    assert [got[i] for i in range(len(got))] == list(got) == list(old)
     assert got[np.int64(5)] == old[5] and got[-1] == old[-1]
     assert all(type(e) is int for e in got[0].exps) and type(got[0].coeff) is float
     part = got[3:9]
     assert isinstance(part, MonomialSet) and part == old[3:9]
     assert got[:100] + got[100:] == got
     assert isinstance(old[:2] + got, MonomialSet) and old[:2] + got == old[:2] + old
+    # a list of Monomial is not a set: + raises and == is False
+    with pytest.raises(TypeError):
+        list(old[:2]) + got
+    with pytest.raises(TypeError):
+        got + list(old[:2])
+    assert got != list(got)
     assert got != got[:-1] and got != MonomialSet(got.exps, np.full(len(got), 2.0))
 
 
@@ -548,7 +557,7 @@ def test_monomial_json_round_trip(pend_spec, tmp_path):
 
 def test_monomial_json_validates_units(pend_spec):
     m = parse_monomial("k_s L^2", pend_spec)
-    data = monomials_to_json(as_monomial_set([m], pend_spec.d), pend_spec)
+    data = monomials_to_json(m, pend_spec)
     data[0]["units"] = [0] * pend_spec.k
     with pytest.raises(ValueError):
         monomials_from_json(data, pend_spec, "monomial")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pireg.pi import (
     FeatureDef,
     FeatureSpec,
-    Monomial,
+    MonomialSet,
     NonFinite,
     PoleAtZero,
     decoder_solutions,
@@ -90,8 +90,13 @@ TRUTH_EXPRS = [
 ]
 
 
+def mset(*rows, coeffs=None):
+    """The MonomialSet of the exponent rows given."""
+    return MonomialSet(np.array(rows, dtype=np.int64), coeffs)
+
+
 def truth_model(spec):
-    monos = tuple(parse_monomial(e, spec) for e, _ in TRUTH_EXPRS)
+    monos = MonomialSet(np.concatenate([parse_monomial(e, spec).exps for e, _ in TRUTH_EXPRS]))
     weights = tuple(w for _, w in TRUTH_EXPRS)
     decoder = parse_monomial("k_s L^2", spec)
     return RegressionModel(spec, monos, weights, decoder, JOULE)
@@ -102,19 +107,19 @@ def truth_model(spec):
 
 def test_design_matrix_constant_column():
     rows = np.ones((7, 4))
-    X = build_design_matrix(rows, [Monomial((0, 0, 0, 0))])
+    X = build_design_matrix(rows, mset((0, 0, 0, 0)))
     assert X.shape == (7, 1)
     assert np.all(X == 1.0)
 
 
 def test_design_matrix_worked_entry():
     rows = np.array([[2.0, 3.0, 2.0, 4.0]])
-    X = build_design_matrix(rows, [parse_monomial("m k_s L^2 |p|^-2", MKLP)])
+    X = build_design_matrix(rows, parse_monomial("m k_s L^2 |p|^-2", MKLP))
     assert X[0, 0] == 1.5
 
 
 def test_design_matrix_empty_monomial_list():
-    X = build_design_matrix(np.ones((5, 4)), [])
+    X = build_design_matrix(np.ones((5, 4)), MonomialSet(np.zeros((0, 4), dtype=np.int64)))
     assert X.shape == (5, 0)
 
 
@@ -184,8 +189,7 @@ def test_design_matrix_matches_column_loop_on_rietkerk_table():
     rows = np.array([_rietkerk_draw(7, i, GridScale.desk())[0].feature_row()
                      for i in range(64)])
     table = rietkerk_table_features()
-    feats = [Monomial.constant(spec.d)] + table + [
-        Monomial(tuple(-e for e in m.exps)) for m in table]
+    feats = parse_monomial("1", spec) + table + MonomialSet(-table.exps)
     assert_matches_oracle(rows, feats)
 
 
@@ -199,7 +203,7 @@ def test_design_matrix_matches_column_loop_on_negative_values(springy_sets):
 def test_design_matrix_matches_column_loop_with_coefficients(springy_sets):
     rows, features, _ = springy_sets
     coeffs = [-2.5, 0.1, 3.0, 0.0, 1e-300, -7.0]
-    monos = [Monomial(m.exps, coeffs[j % len(coeffs)]) for j, m in enumerate(features)]
+    monos = MonomialSet(features.exps, [coeffs[j % len(coeffs)] for j in range(len(features))])
     assert_matches_oracle(rows[:100], monos)
 
 
@@ -208,21 +212,21 @@ def test_design_matrix_ignores_inf_in_a_column_raised_to_zero(springy_sets):
     rows = rows[:100].copy()
     rows[:, 0] = np.inf
     # x^0 contributes an exact 1.0 and inf^-n is 0, so none of these fail
-    monos = [m for m in polluted if m.exps[0] <= 0]
+    monos = MonomialSet(polluted.exps[polluted.exps[:, 0] <= 0])
     assert any(m.exps[0] == 0 for m in monos) and any(m.exps[0] < 0 for m in monos)
     assert_matches_oracle(rows, monos)
     with pytest.raises(NonFinite):
-        build_design_matrix(rows, [m for m in features if m.exps[0] > 0][:1])
+        build_design_matrix(rows, MonomialSet(features.exps[features.exps[:, 0] > 0][:1]))
 
 
 def test_design_matrix_error_order_follows_monomials():
     rows = np.array([[2.0, 1.0, 1.0, 1.0], [1e300, 0.0, 1.0, 1.0]])
-    overflow = Monomial((3, 0, 0, 0))
-    pole = Monomial((0, -1, 0, 0))
+    overflow = mset((3, 0, 0, 0))
+    pole = mset((0, -1, 0, 0))
     for monos, kind in [
-        ([overflow, pole], NonFinite),
-        ([pole, overflow], PoleAtZero),
-        ([Monomial((1, 0, 0, 0)), Monomial((3, -2, 0, 0))], PoleAtZero),
+        (overflow + pole, NonFinite),
+        (pole + overflow, PoleAtZero),
+        (mset((1, 0, 0, 0), (3, -2, 0, 0)), PoleAtZero),
     ]:
         with pytest.raises(kind) as old, np.errstate(over="ignore"):
             column_loop_oracle(rows, monos)
@@ -239,7 +243,7 @@ def test_design_matrix_error_order_follows_monomials():
     # within one monomial the pole is reported ahead of the overflow
     rows[1, 3] = 0.0
     with pytest.raises(PoleAtZero) as err:
-        build_design_matrix(rows, [Monomial((3, 0, 0, -1))])
+        build_design_matrix(rows, mset((3, 0, 0, -1)))
     assert err.value.feature_index == 3
 
 
@@ -250,11 +254,11 @@ def test_design_matrix_errors_in_a_later_block_name_the_global_row(monkeypatch):
     rows = np.ones((2048, 4))
     rows[[1500, 2000], 0] = 1e300
     rows[1900, 1] = 0.0
-    overflow = Monomial((3, 0, 0, 0))
-    pole = Monomial((0, -1, 0, 0))
-    plain = [Monomial((1, 1, 0, 0)), Monomial((0, 0, 2, -1))]
-    for monos, kind in [(plain + [overflow, pole], NonFinite),
-                        (plain + [pole, overflow], PoleAtZero)]:
+    overflow = mset((3, 0, 0, 0))
+    pole = mset((0, -1, 0, 0))
+    plain = mset((1, 1, 0, 0), (0, 0, 2, -1))
+    for monos, kind in [(plain + overflow + pole, NonFinite),
+                        (plain + pole + overflow, PoleAtZero)]:
         with pytest.raises(kind) as old, np.errstate(over="ignore"):
             column_loop_oracle(rows, monos)
         with pytest.raises(kind) as new:
@@ -270,9 +274,53 @@ def test_design_matrix_rejects_wrong_exponent_length():
     rows = np.ones((3, 4))
     for exps in [(1, 0, 0), (1, 0, 0, 0, 2)]:
         with pytest.raises(ValueError, match="exponents"):
-            build_design_matrix(rows, [Monomial(exps)])
-        with pytest.raises(ValueError):
-            build_design_matrix(rows, [Monomial((0, 0, 0, 0)), Monomial(exps)])
+            build_design_matrix(rows, mset(exps))
+        with pytest.raises(ValueError, match="exponents"):
+            build_design_matrix(rows, mset(exps, exps))
+
+
+# each function that takes monomials, called with a set m in one position
+ENTRY_CHECKS = {
+    "build_design_matrix": lambda data, m, path: build_design_matrix(data.rows, m),
+    "require_units": lambda data, m, path: pi.require_units(m, data.spec, JOULE, "the label"),
+    "save_monomials": lambda data, m, path: pi.save_monomials(path, m, data.spec),
+    "RegressionModel-monomials":
+        lambda data, m, path: RegressionModel(data.spec, m, (0.0,) * len(m), None, JOULE),
+    "RegressionModel-decoder":
+        lambda data, m, path: RegressionModel(data.spec, parse_monomial("1", data.spec), (0.0,),
+                                              m, JOULE),
+    "fit_monomial_models-monomials": lambda data, m, path: fit_monomial_models(data, m, None),
+    "fit_monomial_models-decoders":
+        lambda data, m, path: fit_monomial_models(data, parse_monomial("1", data.spec), m),
+    "fit_monomial_models-loss_scale":
+        lambda data, m, path: fit_monomial_models(data, parse_monomial("1", data.spec), None,
+                                                  loss_scale=m),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_CHECKS.values(), ids=ENTRY_CHECKS.keys())
+def test_monomials_are_a_monomial_set_over_the_spec(call, tmp_path):
+    data = small_dataset(8, seed=0)
+    good = parse_monomial("k_s L^2", data.spec)
+    call(data, good, tmp_path / "monomials.json")
+    with pytest.raises(TypeError, match="MonomialSet"):
+        call(data, list(good), tmp_path / "monomials.json")
+    wide = MonomialSet(np.hstack([good.exps, [[0]]]))
+    with pytest.raises(ValueError, match=f"monomials have {data.spec.d + 1} exponents"):
+        call(data, wide, tmp_path / "monomials.json")
+
+
+def test_decoders_and_scales_are_one_row():
+    data = small_dataset(8, seed=0)
+    features = parse_monomial("1", data.spec)
+    two = decoder_solutions(data.spec, JOULE, 2)[:2]
+    model = fit_monomial_model(data, features, two[:1])
+    for call in (lambda: fit_monomial_model(data, features, two),
+                 lambda: fit_monomial_models(data, features, None, loss_scale=two),
+                 lambda: RegressionModel(data.spec, features, (0.0,), two, JOULE),
+                 lambda: dimensionless_mse(model, data, two)):
+        with pytest.raises(ValueError, match="expected 1 monomial"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +563,7 @@ def test_ols_streams_its_qr_in_blocks(springy_desk):
     # little more than one design
     data, features, decoder = springy_desk[:3]
     X = build_design_matrix(data.rows[:2048], features)
-    y = data.label_values[:2048] / build_design_matrix(data.rows[:2048], [decoder])[:, 0]
+    y = data.label_values[:2048] / build_design_matrix(data.rows[:2048], decoder)[:, 0]
     expected = fit_ols(X, y)
     tracemalloc.start()
     try:
@@ -565,7 +613,7 @@ def test_lasso_is_all_zero_at_lambda_max_itself():
         data = sample_pendulum_dataset(128, seed=seed)
         X = build_design_matrix(data.rows, enumerate_monomials(data.spec, 2, True))
         y = data.label_values / build_design_matrix(
-            data.rows, [parse_monomial("k_s L^2", data.spec)])[:, 0]
+            data.rows, parse_monomial("k_s L^2", data.spec))[:, 0]
         for cols in (slice(0, 50), slice(50, 120), slice(100, 286), slice(0, 286)):
             fit = fit_lasso(X[:, cols], y, lasso_lambda_max(X[:, cols], y))
             live = X[:, cols].std(axis=0) > 0.0
@@ -700,7 +748,7 @@ def springy_lasso_problems():
     def first_128(n_rows):
         data = sample_pendulum_dataset(n_rows, 0)
         rows = data.rows[:128]
-        return rows, data.label_values[:128] / build_design_matrix(rows, [decoder])[:, 0]
+        return rows, data.label_values[:128] / build_design_matrix(rows, decoder)[:, 0]
 
     rows, eta = first_128(2048 + 512)
     out = [(f"springy-{len(m)}", build_design_matrix(rows, m), eta, 1e-2)
@@ -860,7 +908,7 @@ def test_predict_zero_weights_gives_zero_quantity():
     data = small_dataset()
     model = RegressionModel(
         data.spec,
-        (Monomial.constant(data.spec.d),),
+        parse_monomial("1", data.spec),
         (0.0,),
         parse_monomial("k_s L^2", data.spec),
         JOULE,
@@ -901,7 +949,7 @@ def test_pearson_is_none_where_undefined():
     data = small_dataset(16, seed=19)
     pred = predict_rows(truth_model(data.spec), data.rows)
     truth = data.label_values
-    flat_model = RegressionModel(data.spec, (Monomial.constant(data.spec.d),), (3.0,), None, JOULE)
+    flat_model = RegressionModel(data.spec, parse_monomial("1", data.spec), (3.0,), None, JOULE)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert pearson(pred[:1], truth[:1]) is None
@@ -948,7 +996,7 @@ def test_equivariance_residual_matches_per_group_oracle(springy_desk, monkeypatc
     data, features, decoder, ols, points = springy_desk
     spec = data.spec
     small = Dataset(spec, data.rows[:128], data.label_values[:128], data.label_units)
-    no_constant = [m for m in features if m != Monomial.constant(spec.d)]
+    no_constant = MonomialSet(features.exps[features.exps.any(axis=1)])
     assert len(no_constant) == 285
     lasso = fit_monomial_model(small, no_constant, decoder, method="lasso", lam=1e-2,
                                max_sweeps=20000)
@@ -957,15 +1005,14 @@ def test_equivariance_residual_matches_per_group_oracle(springy_desk, monkeypatc
     rspec = rietkerk_spec()
     rrows = np.array([_rietkerk_draw(5, i, GridScale.desk())[0].feature_row() for i in range(2)])
     table = rietkerk_table_features()
-    dimless = [Monomial.constant(rspec.d)] + table + [Monomial(tuple(-e for e in m.exps))
-                                                      for m in table]
-    raw = [Monomial(tuple(int(i == j) for j in range(rspec.d))) for i in range(rspec.d)]
+    dimless = parse_monomial("1", rspec) + table + MonomialSet(-table.exps)
+    raw = MonomialSet(np.eye(rspec.d, dtype=np.int64))
     rng = np.random.default_rng(3)
     k2 = parse_monomial("k2", rspec)
-    rietkerk = RegressionModel(rspec, tuple(dimless), tuple(rng.normal(size=len(dimless))),
-                               k2, monomial_units(k2, rspec))
-    baseline = RegressionModel(rspec, tuple(raw), tuple(rng.normal(size=len(raw))), None,
-                               monomial_units(k2, rspec), intercept=0.5)
+    rietkerk = RegressionModel(rspec, dimless, tuple(rng.normal(size=len(dimless))),
+                               k2, monomial_units(k2[0], rspec))
+    baseline = RegressionModel(rspec, raw, tuple(rng.normal(size=len(raw))), None,
+                               monomial_units(k2[0], rspec), intercept=0.5)
     for model, rows, seed in [(ols, points, 0), (lasso, points, 1), (rietkerk, rrows, 2),
                               (baseline, rrows, 3)]:
         assert equivariance_residual(model, rows, seed=seed) == per_group_equivariance_oracle(
@@ -974,9 +1021,10 @@ def test_equivariance_residual_matches_per_group_oracle(springy_desk, monkeypatc
     # models sharing the OLS monomial set, one without a decoder: one stack
     # for all gives each model's own residual
     rng = np.random.default_rng(4)
+    decs = decoder_solutions(spec, JOULE, 2)
     shared = [ols] + [RegressionModel(spec, features, tuple(rng.normal(size=286)), dec, JOULE,
                                       intercept=0.25)
-                      for dec in list(decoder_solutions(spec, JOULE, 2)[:2]) + [None]]
+                      for dec in (decs[:1], decs[1:2], None)]
     oracle = [per_group_equivariance_oracle(m, points, seed=5) for m in shared]
     assert equivariance_residuals(shared, points, seed=5) == oracle
     assert oracle[-1] > 1e-3
@@ -1034,9 +1082,9 @@ def test_equivariance_residual_memory_is_bounded_by_the_block_budget(springy_des
 
 def test_equivariance_overflow_names_the_same_copy_and_row_at_any_budget(monkeypatch):
     # (k_s L^2)^4 is 1e300 on row 3 and overflows on some rescaled copies
-    decoder = Monomial((0, 4, 8, 0))
-    model = RegressionModel(MKLP, (Monomial.constant(4),), (1.0,), decoder,
-                            monomial_units(decoder, MKLP))
+    decoder = mset((0, 4, 8, 0))
+    model = RegressionModel(MKLP, mset((0, 0, 0, 0)), (1.0,), decoder,
+                            monomial_units(decoder[0], MKLP))
     rows = np.ones((5, 4))
     rows[3, 1] = 1e75
     rng = np.random.default_rng(2)
@@ -1086,7 +1134,7 @@ def test_zero_decoder_or_loss_scale_names_the_monomial_and_row():
     features = enumerate_monomials(data.spec, 1, dimensionless_only=True)
     zero, decoder = parse_monomial("m g.q", data.spec), parse_monomial("k_s L^2", data.spec)
     with pytest.raises(regress.ZeroScale, match=r"^decoder 'm g\.q' evaluated to zero at row 5$"):
-        fit_monomial_models(data, features, [decoder, zero])
+        fit_monomial_models(data, features, decoder + zero)
     with pytest.raises(regress.ZeroScale, match=r"^loss scale 'm g\.q' evaluated to zero at row 5$"):
         fit_monomial_model(data, features, decoder, loss_scale=zero)
     model = truth_model(data.spec)
@@ -1132,7 +1180,7 @@ def test_decoder_units_checked_at_construction():
     with pytest.raises(UnitMismatch):
         RegressionModel(
             data.spec,
-            (Monomial.constant(data.spec.d),),
+            parse_monomial("1", data.spec),
             (1.0,),
             parse_monomial("L", data.spec),
             JOULE,
@@ -1168,7 +1216,7 @@ def test_fit_monomial_model_loss_scale_weighting():
     assert np.allclose(plain.weights, same.weights)
     # a different energy-unit scale reweights rows and moves the solution
     scale = parse_monomial("m |g| L", data.spec)
-    assert monomial_units(scale, data.spec) == JOULE
+    assert monomial_units(scale[0], data.spec) == JOULE
     other = fit_monomial_model(data, monos, decoder, method="ols", loss_scale=scale)
     assert not np.allclose(plain.weights, other.weights)
 
@@ -1177,7 +1225,7 @@ def shared_fit_cases():
     data = small_dataset(64, seed=19)
     spec = data.spec
     monos = enumerate_monomials(spec, 1, dimensionless_only=True)
-    decoders = list(decoder_solutions(spec, JOULE, 2)[:3]) + [None]
+    decoders = decoder_solutions(spec, JOULE, 2)[:3]
     scale = parse_monomial("m |g| L", spec)
     return data, decoders, {
         "ols": (monos, {}),
@@ -1190,17 +1238,25 @@ def shared_fit_cases():
     }
 
 
+def fit_with_direct(data, monos, decoders, **options):
+    """fit_monomial_models on the decoders, then the decoder-less fit as its
+    own call."""
+    return (fit_monomial_models(data, monos, decoders, **options)
+            + fit_monomial_models(data, monos, None, **options))
+
+
 @pytest.mark.parametrize("case", ["ols", "lasso", "loss-scale", "lasso-loss-scale", "ridge",
                                   "rank-deficient"])
 def test_fit_monomial_models_equal_one_decoder_fits(case):
     data, decoders, cases = shared_fit_cases()
     monos, options = cases[case]
+    one_rows = [decoders[j:j + 1] for j in range(len(decoders))] + [None]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", (RankDeficientWarning, LassoConvergenceWarning))
-        models = fit_monomial_models(data, monos, decoders, **options)
-        singles = [fit_monomial_model(data, monos, dec, **options) for dec in decoders]
-    assert len(models) == len(decoders)
-    for model, single, dec in zip(models, singles, decoders):
+        models = fit_with_direct(data, monos, decoders, **options)
+        singles = [fit_monomial_model(data, monos, dec, **options) for dec in one_rows]
+    assert len(models) == len(one_rows)
+    for model, single, dec in zip(models, singles, one_rows):
         assert model.decoder == dec
         assert np.array(model.weights).tobytes() == np.array(single.weights).tobytes()
         assert model.intercept == single.intercept
@@ -1212,7 +1268,7 @@ def test_fit_monomial_models_equal_one_decoder_fits(case):
 
 def test_list_forms_equal_the_one_model_calls():
     data, decoders, cases = shared_fit_cases()
-    models = fit_monomial_models(data, cases["ols"][0], decoders)
+    models = fit_with_direct(data, cases["ols"][0], decoders)
     scale = parse_monomial("k_s L^2", data.spec)
     errors, scaled, preds = prediction_errors(models, data, scale)
     assert errors == [prediction_errors([m], data)[0][0] for m in models]
@@ -1224,7 +1280,7 @@ def test_list_forms_equal_the_one_model_calls():
     assert residuals == [equivariance_residual(m, data.rows[:20], n_group=30, seed=2)
                          for m in models]
     assert max(residuals[:-1]) == 0.0 < residuals[-1]
-    other = fit_monomial_model(data, cases["ols"][0][1:], decoders[0])
+    other = fit_monomial_model(data, cases["ols"][0][1:], decoders[:1])
     for scoring in (lambda ms: prediction_errors(ms, data),
                     lambda ms: equivariance_residuals(ms, data.rows[:20])):
         with pytest.raises(ValueError, match="share one monomial set"):
@@ -1236,7 +1292,7 @@ def test_fit_monomial_model_decoder_unit_mismatch():
     with pytest.raises(UnitMismatch):
         fit_monomial_model(
             data,
-            [Monomial.constant(data.spec.d)],
+            parse_monomial("1", data.spec),
             parse_monomial("L", data.spec),
         )
 

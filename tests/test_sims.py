@@ -224,7 +224,7 @@ def euler_step_oracle(p, u, w, v, dl):
 
 
 def test_rietkerk_single_step_uniform_grid():
-    params = RietkerkParams(T=0.005)  # exactly one step
+    params = RietkerkParams(T=0.005, L=3 * RietkerkParams.dl)  # exactly one step
     init = uniform_state(3, u=2.0, w=1.5, v=4.0)
     run = integrate_rietkerk_batch([params], [init])[0]
     assert run.steps == 1
@@ -238,7 +238,7 @@ def test_rietkerk_single_step_uniform_grid():
 
 def test_rietkerk_single_step_random_grid():
     # non-uniform fields so the periodic Laplacian actually participates
-    params = RietkerkParams(T=0.005)
+    params = RietkerkParams(T=0.005, L=5 * RietkerkParams.dl)
     rng = np.random.default_rng(4)
     init = RietkerkState(
         rng.uniform(0.5, 5.0, (5, 5)), rng.uniform(0.5, 5.0, (5, 5)),
@@ -254,7 +254,7 @@ def test_rietkerk_single_step_random_grid():
 
 
 def test_rietkerk_fields_stay_nonnegative():
-    params = RietkerkParams(T=5.0)
+    params = RietkerkParams(T=5.0, L=16 * RietkerkParams.dl)
     init = random_rietkerk_state(16, np.random.default_rng(2))
     run = integrate_rietkerk_batch([params], [init])[0]
     assert run.steps == 1000
@@ -265,7 +265,8 @@ def test_rietkerk_fields_stay_nonnegative():
 def test_rietkerk_blowup_on_coarse_time_step():
     # no diffusion, so the Euler stability check passes and the reaction
     # terms overshoot below zero
-    params = RietkerkParams(dt=50.0, T=500.0, D_u=0.0, D_w=0.0, D_v=0.0)
+    params = RietkerkParams(dt=50.0, T=500.0, D_u=0.0, D_w=0.0, D_v=0.0,
+                            L=8 * RietkerkParams.dl)
     init = RietkerkState(
         np.random.default_rng(1).uniform(0.5, 5.0, (8, 8)),
         np.full((8, 8), 2.0), np.full((8, 8), 3.0),
@@ -276,7 +277,7 @@ def test_rietkerk_blowup_on_coarse_time_step():
 
 def test_rietkerk_extinction_is_labeled_not_raised():
     # extinction ends the run at the step it happens
-    params = RietkerkParams(T=0.1)
+    params = RietkerkParams(T=0.1, L=4 * RietkerkParams.dl)
     init = uniform_state(4, v=0.0)
     run = integrate_rietkerk_batch([params], [init])[0]
     assert run.extinct and run.extinction_step == 0
@@ -333,7 +334,8 @@ def roll_loop_oracle(params, init, extinction_threshold=1e-3, stop_on_extinction
 def varied_runs(n_runs, extinct=(), shape=(9, 12), T=1.0, seed=0, **fixed):
     """Runs with every physical parameter scaled by Unif(0.5, 1.5) on a
     non-square grid.  Runs listed in `extinct` start with a thin, fast-dying
-    vegetation layer that falls below the extinction threshold mid-run."""
+    vegetation layer that falls below the extinction threshold mid-run.  L is
+    the grid's extent, its rows times the default dl."""
     rng = np.random.default_rng(seed)
     names = ["R", "alpha", "k2", "W0", "D_u", "g_m", "k1", "delta_w", "D_w", "c",
              "delta_v", "D_v"]
@@ -348,6 +350,7 @@ def varied_runs(n_runs, extinct=(), shape=(9, 12), T=1.0, seed=0, **fixed):
             v = rng.uniform(0.0, 0.003, shape)
         else:
             v = np.where(rng.random(shape) < 0.1, rng.uniform(0.0, 50.0, shape), 0.0)
+        values["L"] = shape[0] * RietkerkParams.dl
         values.update(fixed)
         params.append(RietkerkParams(**values, T=T))
         inits.append(RietkerkState(u, w, v))
@@ -413,8 +416,9 @@ def test_batch_blowup_in_the_step_a_lower_run_goes_extinct():
     # grows 1e31-fold a step, overflows at step 9 and gives NaN at step 10
     shape = (6, 7)
     rng = np.random.default_rng(0)
-    params = [RietkerkParams(c=0.0, delta_v=20.0, T=1.0),
-              RietkerkParams(g_m=0.0, delta_v=-(1e31 - 1) / 0.005, T=1.0)]
+    L = shape[0] * RietkerkParams.dl
+    params = [RietkerkParams(c=0.0, delta_v=20.0, T=1.0, L=L),
+              RietkerkParams(g_m=0.0, delta_v=-(1e31 - 1) / 0.005, T=1.0, L=L)]
     inits = [RietkerkState(rng.uniform(0.0, 5.0, shape), rng.uniform(0.0, 5.0, shape),
                            np.full(shape, v0)) for v0 in (3e-3, 1.0)]
     with np.errstate(all="ignore"):
@@ -465,7 +469,8 @@ def test_batch_rejects_euler_unstable_diffusion():
         assert isinstance(err.value, ValueError)
         assert err.value.run == 2 and err.value.value == 0.3125
     with pytest.raises(EulerUnstable, match=r"\brun 0\b"):
-        integrate_rietkerk_batch([RietkerkParams(dt=50.0, T=500.0)], inits[:1])
+        integrate_rietkerk_batch([RietkerkParams(dt=50.0, T=500.0, L=9 * RietkerkParams.dl)],
+                                 inits[:1])
     at_limit = params[:2] + [replace(params[2], D_u=200.0)]
     runs = integrate_rietkerk_batch(at_limit, inits)
     assert runs[2].steps == 200
@@ -495,19 +500,30 @@ def test_batch_rejects_mixed_integration_settings():
         integrate_rietkerk_batch([], [])
 
 
+def test_batch_rejects_an_extent_other_than_the_grid():
+    # the default L of 200 m is 100 cells of 2 m, not 8
+    init = random_rietkerk_state(8, np.random.default_rng(3))
+    with pytest.raises(ValueError, match=r"^run 0: L = 200\.0 is not 8 cells of dl = 2\.0$"):
+        integrate_rietkerk_batch([RietkerkParams(T=0.05)], [init])
+    params, inits = varied_runs(2)
+    assert params[1].L == inits[1].u.shape[0] * params[1].dl == 18.0
+    with pytest.raises(ValueError, match=r"^run 1: L = 24\.0 is not 9 cells of dl = 2\.0$"):
+        integrate_rietkerk_batch([params[0], replace(params[1], L=24.0)], inits)
+
+
 def test_grid_spacing_comes_from_the_parameters(monkeypatch):
     init = random_rietkerk_state(8, np.random.default_rng(3))
-    coarse = RietkerkParams(T=0.05, dl=4.0)
+    coarse = RietkerkParams(T=0.05, dl=4.0, L=32.0)
     run = integrate_rietkerk_batch([coarse], [init])[0]
     u, w, v, steps, extinction_step = roll_loop_oracle(coarse, init, stop_on_extinction=True)
     assert np.array_equal(run.state.u, u) and np.array_equal(run.state.w, w)
     assert np.array_equal(run.state.v, v)
     assert run.steps == steps == 10 and run.extinction_step is extinction_step is None
-    default = integrate_rietkerk_batch([RietkerkParams(T=0.05)], [init])[0]
+    default = integrate_rietkerk_batch([RietkerkParams(T=0.05, L=16.0)], [init])[0]
     assert not np.array_equal(default.state.u, run.state.u)
     # D_u dt / dl^2 = 100 * 0.005 / 1 = 0.5
     with pytest.raises(EulerUnstable) as err:
-        integrate_rietkerk_batch([RietkerkParams(T=0.05, dl=1.0)], [init])
+        integrate_rietkerk_batch([RietkerkParams(T=0.05, dl=1.0, L=8.0)], [init])
     assert (err.value.run, err.value.value) == (0, 0.5)
     # rietkerk_experiment's check before dispatch reads the number the
     # integrator would
@@ -515,7 +531,7 @@ def test_grid_spacing_comes_from_the_parameters(monkeypatch):
 
     def fine_draw(seed, run_idx, scale):
         params, state = draw(seed, run_idx, scale)
-        return replace(params, dl=1.0), state
+        return replace(params, dl=1.0, L=scale.n_cells * 1.0), state
 
     params, state = fine_draw(5, 0, TINY)
     with pytest.raises(EulerUnstable) as direct:
@@ -713,7 +729,7 @@ def test_rietkerk_table_features_dimensionless():
 def test_planck_spec_has_no_dimensionless_monomials():
     spec = planck_spec()
     assert spec.d == 4 and spec.k == 4
-    assert dimensionless_basis(spec) == []
+    assert len(dimensionless_basis(spec)) == 0
 
 
 def test_planck_decoder_unique():
@@ -753,9 +769,9 @@ def test_fixture_units_exact():
     spec = double_pendulum_spec()
     dimensionless, scaling = double_pendulum_feature_fixtures()
     for f in dimensionless:
-        assert monomial_units(f.monomial, spec).is_zero(), f.name
+        assert monomial_units(f.monomial[0], spec).is_zero(), f.name
     for f in scaling:
-        assert monomial_units(f.monomial, spec) == ENERGY_UNITS, f.name
+        assert monomial_units(f.monomial[0], spec) == ENERGY_UNITS, f.name
 
 
 def test_fixture_rosters_contain_named_entries():
