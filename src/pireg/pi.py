@@ -483,10 +483,13 @@ def sample_dimensional_monomials(
     for the dimensionless regressions.
 
     Draws are exponent rows taken in order, each kept unless it is
-    dimensionless or repeats a kept row; ValueError after 1000 n draws
-    short of n.  A block of rows comes from one rng.integers call, which
-    gives the values of one scalar call per exponent in row order.
+    dimensionless or repeats a kept row; ValueError for n < 0, or after
+    1000 n draws short of n.  A block of rows comes from one rng.integers
+    call, which gives the values of one scalar call per exponent in row
+    order.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     ranges = _exponent_ranges(spec, max_degree)
     low = np.array([r.start for r in ranges], dtype=np.int64)
     high = np.array([r.stop for r in ranges], dtype=np.int64)

@@ -21,7 +21,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -113,7 +113,7 @@ class ZeroScale(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """N rows of d feature values plus N labels sharing one unit vector."""
+    """N >= 1 rows of d feature values plus N labels sharing one unit vector."""
 
     spec: FeatureSpec
     rows: np.ndarray
@@ -127,6 +127,8 @@ class Dataset:
             raise ValueError(f"rows must be (N, {self.spec.d}), got {rows.shape}")
         if labels.shape != (rows.shape[0],):
             raise ValueError("one label per row required")
+        if not len(rows):
+            raise DataError("a dataset needs at least one row")
         if len(self.label_units) != self.spec.k:
             raise UnitMismatch(self.label_units.exps, self.spec.system.names,
                                "label unit exponents and base units")
@@ -538,50 +540,54 @@ def _scale_column(data: Dataset, scale: MonomialSet) -> np.ndarray:
     return _label_unit_columns(data, scale, "loss scale")[:, 0]
 
 
-def _require_shared(models: Sequence[RegressionModel]) -> None:
-    """ValueError unless the models share one monomial set, spec and label units."""
+def _predictor(models: Sequence[RegressionModel]) -> Callable[[np.ndarray], np.ndarray]:
+    """The function mapping a (copies, N, d) stack of row blocks to the
+    models' (len(models), copies, N) predictions, from one design matrix and
+    one matrix of decoder columns.  The one entry check of a model list:
+    ValueError unless models is non-empty and shares one monomial set, spec
+    and label units.  The weights and the stacked decoder set are made once,
+    here.  The stacked matmul applies a model's weights to each block's
+    contiguous (N, p) slice, the product a one-block call forms, and a design
+    entry does not depend on the other rows or monomials, so each block's
+    predictions equal a one-block call's bit for bit.  NonFinite, naming the
+    model's index and the stacked row, where a prediction is not finite."""
+    if not models:
+        raise ValueError("no models to predict from")
     first = models[0]
     if any(m.monomials != first.monomials or (m.spec, m.label_units)
            != (first.spec, first.label_units) for m in models[1:]):
         raise ValueError("models must share one monomial set, spec and label units")
-
-
-@_serial_blas()
-def _predict_blocks(
-    models: Sequence[RegressionModel], rows: np.ndarray, blocks: int
-) -> np.ndarray:
-    """(len(models), blocks * N) predictions of models sharing one monomial
-    set, spec and label units (_require_shared), for `blocks` equal row
-    blocks stacked in one (blocks * N, d) array, from one design matrix and
-    one matrix of decoder columns.  The stacked matmul applies a model's
-    weights to each block's contiguous (N, p) slice, the product a
-    one-block call forms, and a design entry does not depend on the other
-    rows or monomials, so each model's predictions on each block equal
-    predict_rows on it bit for bit.  NonFinite, naming the model's index and
-    the stacked row, where a prediction is not finite."""
-    X = build_design_matrix(rows, models[0].monomials)
-    X = X.reshape(blocks, len(X) // blocks, X.shape[1])
+    weights = [np.asarray(m.weights, dtype=float) for m in models]
     decoders = [m.decoder for m in models if m.decoder is not None]
     if len(decoders) > 1:
         decoders = [MonomialSet(np.concatenate([dec.exps for dec in decoders]),
                                 np.concatenate([dec.coeffs for dec in decoders]))]
-    dcols = iter(build_design_matrix(rows, decoders[0]).T if decoders else ())
-    preds = np.empty((len(models), len(rows)))
-    # an overflow is reported once, as NonFinite below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for model, out in zip(models, preds):
-            out[:] = (X @ np.asarray(model.weights, dtype=float)).ravel() + model.intercept
-            if model.decoder is not None:
-                out *= next(dcols)
-    if not np.isfinite(preds).all():
-        i, row = np.argwhere(~np.isfinite(preds))[0]
-        raise NonFinite(f"model {i}'s prediction at row {row} is not finite")
-    return preds
+
+    def predict_blocks(blocks: np.ndarray) -> np.ndarray:
+        # 2-D exactly where blocks is 3-D, which build_design_matrix checks
+        rows = blocks.reshape(-1, *blocks.shape[2:])
+        X = build_design_matrix(rows, first.monomials)
+        X = X.reshape(*blocks.shape[:2], len(first.monomials))
+        dcols = iter(build_design_matrix(rows, decoders[0]).T if decoders else ())
+        preds = np.empty((len(models), len(rows)))
+        # the matmul is the one BLAS call; an overflow is reported once, as
+        # NonFinite below
+        with _serial_blas(), np.errstate(over="ignore", invalid="ignore"):
+            for model, w, out in zip(models, weights, preds):
+                out[:] = (X @ w).ravel() + model.intercept
+                if model.decoder is not None:
+                    out *= next(dcols)
+        if not np.isfinite(preds).all():
+            i, row = np.argwhere(~np.isfinite(preds))[0]
+            raise NonFinite(f"model {i}'s prediction at row {row} is not finite")
+        return preds.reshape(len(models), *blocks.shape[:2])
+
+    return predict_blocks
 
 
 def predict_rows(model: RegressionModel, rows) -> np.ndarray:
-    """Predicted label values for an (N, d) array of feature rows."""
-    return _predict_blocks([model], np.asarray(rows, dtype=float), 1)[0]
+    """Predicted label values for an (N, d) array of feature rows, as one block."""
+    return _predictor([model])(np.asarray(rows, dtype=float)[None])[0, 0]
 
 
 def predict(model: RegressionModel, x) -> Quantity:
@@ -664,10 +670,9 @@ def prediction_errors(
 ) -> tuple[list[float], list[float] | None, np.ndarray]:
     """Each model's mean squared error on data, given a one-row scale S with
     the label units its mean of ((pred - label)/S(x))^2 (else None), and the
-    (len(models), N) predictions they score, all from one design matrix;
-    ValueError as _require_shared."""
-    _require_shared(models)
-    preds = _predict_blocks(models, data.rows, 1)
+    (len(models), N) predictions they score, all from one block of
+    _predictor(models); ValueError as its entry check."""
+    preds = _predictor(models)(data.rows[None])[:, 0]
     resid = preds - data.label_values
     errors = [float(np.mean(r * r)) for r in resid]
     if scale is None:
@@ -705,55 +710,52 @@ def equivariance_residuals(
 
     Group copy 0 is the rows themselves and copy c the rows rescaled by the
     c-th element, a units.GroupElement whose one scale_factor call gives the
-    multiplier of every feature column and of the label.  The copies are
-    predicted for every model in stacks of consecutive copies, one design
-    matrix and one matrix of decoder columns per call of _predict_blocks,
-    each stack holding at most pi._BLOCK_ENTRIES design entries plus one
-    prediction column per model (one copy where a copy alone holds more); a
-    stack's copies are built when it is, and its deviations folded into the
-    running maxima.  Every
-    copy's predictions equal predict_rows on it bit for bit, so each
-    residual is that of one predict_rows call per copy at any budget.
-    Where a copy fails to evaluate, the first failing copy raises what
-    predicting it alone would: PoleAtZero, or NonFinite naming the group
-    copy and the row of rows; ValueError as _require_shared, or for
-    n_group < 1."""
+    row of multipliers of every feature column and of the label; copy 0's
+    row is all ones, so its deviation is exactly 0.  The copies are
+    predicted by one _predictor(models) in stacks of consecutive copies, each
+    stack one broadcast of the rows by its scale rows, holding at most
+    pi._BLOCK_ENTRIES design entries plus one prediction column per model
+    (one copy where a copy alone holds more).  Every copy's predictions
+    equal predict_rows on it bit for bit, so each residual is that of one
+    predict_rows call per copy at any budget.  Where a copy fails to
+    evaluate, the first failing copy raises what predicting it alone would:
+    PoleAtZero, or NonFinite naming the group copy and the row of rows.
+    ValueError as _predictor, for n_group < 1, or for rows not (N >= 1, d)."""
     if n_group < 1:
         raise ValueError(f"n_group must be >= 1, got {n_group}")
-    _require_shared(models)
-    rows = np.asarray(rows, dtype=float)
+    predict_blocks = _predictor(models)
     first = models[0]
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[1:] != (first.spec.d,) or len(rows) == 0:
+        raise ValueError(f"rows must be (N >= 1, {first.spec.d}), got {rows.shape}")
     rng = np.random.default_rng(seed)
     # one unit row per feature, then the label's
     U = np.vstack([first.spec.units_array, first.label_units.exps])
+    scales = np.ones((n_group + 1, len(U)))
+    for c in range(1, n_group + 1):
+        g = GroupElement(tuple(np.ldexp(1.0, rng.integers(-20, 21, size=first.spec.k))))
+        scales[c] = scale_factor(g, U)
     width = len(first.monomials) + len(models)
-    per_stack = max(1, pi._BLOCK_ENTRIES // max(1, rows.shape[0] * width))
+    per_stack = max(1, pi._BLOCK_ENTRIES // (len(rows) * width))
     worst = np.zeros(len(models))
     for start in range(0, n_group + 1, per_stack):
-        copies = [rows] if start == 0 else []
-        label_scales = []
-        for _ in range(max(start, 1), min(start + per_stack, n_group + 1)):
-            g = GroupElement(tuple(np.ldexp(1.0, rng.integers(-20, 21, size=first.spec.k))))
-            scales = scale_factor(g, U)
-            label_scales.append(scales[-1])
-            copies.append(rows * scales[None, :-1])
+        stack = scales[start:start + per_stack]
+        blocks = rows * stack[:, None, :-1]
         try:
-            pred = _predict_blocks(models, np.concatenate(copies), len(copies))
+            pred = predict_blocks(blocks)
         except (PoleAtZero, NonFinite):
             # the first failing copy alone names the error, at any budget
-            for c, copy in enumerate(copies, start):
+            for c, block in enumerate(blocks, start):
                 try:
-                    _predict_blocks(models, copy, 1)
+                    predict_blocks(block[None])
                 except NonFinite as err:
                     raise NonFinite(f"group copy {c}: {err}") from None
             raise
-        pred = pred.reshape(len(models), len(copies), len(rows))
         if start == 0:
-            base, pred = pred[:, 0], pred[:, 1:]
-        rhs = base[:, None, :] * np.array(label_scales)[:, None]
+            base = pred[:, :1]
+        rhs = base * stack[:, -1, None]
         denom = np.maximum(np.abs(pred) + np.abs(rhs), 1e-300)
-        dev = np.max(np.abs(pred - rhs) / denom, axis=2)
-        worst = np.maximum(worst, np.max(dev, axis=1, initial=0.0))
+        worst = np.maximum(worst, np.max(np.abs(pred - rhs) / denom, axis=(1, 2)))
     return [float(w) for w in worst]
 
 

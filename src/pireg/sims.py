@@ -578,7 +578,8 @@ def rietkerk_experiment(
     no draw after one that fails is dispatched, so the lowest-index draw
     that fails raises: EulerUnstable, or NumericalBlowup after the draws
     before it are consumed.  Raises InsufficientSurvivors if 3x the
-    requested total of integrations cannot fill both splits.
+    requested total of integrations cannot fill both splits, and ValueError
+    unless n_train and n_test are both >= 1.
 
     The pool comes from _worker_pool: with one usable CPU, or no fork on
     the platform, the chunks run in the calling process.  The integrator
@@ -589,6 +590,8 @@ def rietkerk_experiment(
     # imported here, so the other commands do not load it
     from concurrent.futures import FIRST_COMPLETED, wait
 
+    if n_train < 1 or n_test < 1:
+        raise ValueError(f"n_train and n_test must be >= 1, got {n_train} and {n_test}")
     want = n_train + n_test
     workers, pool = _worker_pool()
     params = []  # of the draws dispatched so far, in draw order

@@ -616,6 +616,13 @@ def test_sample_dimensional_monomials_caps_its_draws():
             sampler(length, 1, 3, 0)
 
 
+def test_sample_dimensional_monomials_rejects_a_negative_count(pend_spec):
+    # a negative n used to return the empty set; n = 0 still does
+    assert len(sample_dimensional_monomials(pend_spec, 2, 0, seed=0)) == 0
+    with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+        sample_dimensional_monomials(pend_spec, 2, -1, seed=0)
+
+
 def test_lattice_membership_of_enumerated_dimensionless(pend_spec):
     basis = dimensionless_basis(pend_spec)
     B = [list(b.exps) for b in basis]

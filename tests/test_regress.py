@@ -874,6 +874,16 @@ def test_dataset_rejects_non_finite_values():
     assert issubclass(DataError, ValueError)
 
 
+def test_dataset_rejects_zero_rows():
+    # a zero-row dataset used to reach the fits and the error metrics, where
+    # OLS returned zero weights at rank 0 and numpy warned of empty means
+    data = small_dataset()
+    with pytest.raises(DataError, match="^a dataset needs at least one row$"):
+        Dataset(data.spec, data.rows[:0], data.label_values[:0], data.label_units)
+    with pytest.raises(DataError, match="^a dataset needs at least one row$"):
+        data[5:5]
+
+
 def test_model_json_round_trip(tmp_path):
     data = small_dataset()
     model = truth_model(data.spec)
@@ -1173,6 +1183,45 @@ def test_equivariance_residuals_need_a_group_element(n_group):
     assert equivariance_residual(direct, data.rows, n_group=1) > 0
     with pytest.raises(ValueError, match=f"n_group must be >= 1, got {n_group}"):
         equivariance_residual(direct, data.rows, n_group=n_group)
+
+
+def test_equivariance_stacks_decode_with_one_decoder_set(monkeypatch):
+    # three decoder-backed models and one without a decoder, one group copy
+    # per stack: every stack's decoder columns come from the one set the
+    # model list stacked once, and the residuals are those of one stack
+    data, decoders, _ = shared_fit_cases()
+    monos = enumerate_monomials(data.spec, 1, dimensionless_only=True)
+    models = fit_monomial_models(data, monos, decoders) + fit_monomial_models(data, monos, None)
+    rows = data.rows[:10]
+    expected = equivariance_residuals(models, rows)
+    calls = []
+
+    def recording_design(rows, monomials):
+        calls.append(monomials)
+        return build_design_matrix(rows, monomials)
+
+    monkeypatch.setattr(regress, "build_design_matrix", recording_design)
+    monkeypatch.setattr(pi, "_BLOCK_ENTRIES", 1)
+    assert equivariance_residuals(models, rows) == expected
+    assert calls[::2] == [monos] * 101
+    assert calls[1] == decoders
+    assert all(dec is calls[1] for dec in calls[1::2])
+
+
+def test_empty_model_lists_are_rejected():
+    data = small_dataset()
+    for check in (lambda: prediction_errors([], data),
+                  lambda: equivariance_residuals([], data.rows)):
+        with pytest.raises(ValueError, match="^no models to predict from$"):
+            check()
+
+
+def test_equivariance_residuals_need_a_row():
+    # zero rows used to fail inside numpy, in a reduction of a zero-size array
+    data = small_dataset()
+    model = truth_model(data.spec)
+    with pytest.raises(ValueError, match=r"^rows must be \(N >= 1, 9\), got \(0, 9\)$"):
+        equivariance_residual(model, data.rows[:0])
 
 
 def test_decoder_units_checked_at_construction():

@@ -707,6 +707,16 @@ def test_rietkerk_experiment_insufficient_survivors(monkeypatch):
     assert max(drawn) == 8
 
 
+@pytest.mark.parametrize("n_train, n_test", [(0, 0), (0, 2), (2, 0), (-1, 3)])
+def test_rietkerk_experiment_needs_a_row_in_each_split(monkeypatch, n_train, n_test):
+    # rejected before any draw: (0, 0) used to fail in Dataset with
+    # "rows must be (N, 16), got (0,)"
+    monkeypatch.setattr(sims, "_rietkerk_draw", None)
+    with pytest.raises(ValueError, match=f"^n_train and n_test must be >= 1, got {n_train} "
+                                         f"and {n_test}$"):
+        rietkerk_experiment(n_train, n_test, seed=5, scale=TINY)
+
+
 def test_rietkerk_spec_shape():
     spec = rietkerk_spec()
     assert spec.d == 16 and spec.k == 4
